@@ -15,7 +15,8 @@ import sys
 from . import __version__
 from .graph import CitationGraph, load_graph
 from .sampling import SamplingParams, WalkCorpus, generate_walk_corpus, cocitation_corpus
-from .embedding import TrainParams, init_model, train, save_model, load_model
+from .embedding import (TrainParams, TrainingError, init_model, train,
+                        save_model, load_model)
 from .ranking import recommend, write_ranked_csv
 from .baselines import PageRankParams
 from .evaluation import (ExperimentConfig, build_queries, run_experiment,
@@ -285,6 +286,8 @@ def apply_config_defaults(argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a file argument")
     path = argv[i + 1]
     argv = argv[:i] + argv[i + 2:]
     cfg = read_config(path)
@@ -300,12 +303,12 @@ def apply_config_defaults(argv):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
-    if len(argv) > 1:
-        argv = [argv[0]] + apply_config_defaults(argv[1:])
-    args = ap.parse_args(argv)
     try:
+        if len(argv) > 1:
+            argv = [argv[0]] + apply_config_defaults(argv[1:])
+        args = ap.parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,12 +10,22 @@ distribution over corpus frequencies) and scales to large graphs.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import CitationGraph
 from .sampling import WalkCorpus
+
+
+log = logging.getLogger(__name__)
+
+# Steps whose negatives, learning rates and losses are handled together.
+TRAIN_BLOCK_STEPS = 1024
+# Context tokens gathered at a time when building the flat windows.
+WINDOW_CHUNK_TOKENS = 1 << 16
 
 
 class TrainingError(RuntimeError):
@@ -91,7 +101,8 @@ def extract_windows(sequences, w):
 
     Context is the symmetric window of half-width w around the target,
     target excluded, duplicates kept.  Positions with an empty context are
-    skipped.
+    skipped.  This is the reference for ``context_windows``, which returns
+    the same windows as flat arrays and is what ``train`` uses.
     """
     if w < 1:
         raise ValueError("window must be >= 1")
@@ -105,6 +116,46 @@ def extract_windows(sequences, w):
             ctx = np.concatenate([seq[lo:i], seq[i + 1:i + w + 1]])
             if ctx.size:
                 yield int(seq[i]), ctx
+
+
+def context_windows(sequences, w):
+    """The windows of ``extract_windows(sequences, w)``, in the same order,
+    as flat arrays ``(targets, context, offsets)``.
+
+    Window i predicts ``targets[i]`` from ``context[offsets[i]:offsets[i + 1]]``.
+    ``targets`` and ``context`` are int32, ``offsets`` int64.  The context is
+    gathered ``WINDOW_CHUNK_TOKENS`` tokens at a time, which bounds the
+    temporaries.
+    """
+    if w < 1:
+        raise ValueError("window must be >= 1")
+    seqs = [s for s in map(np.asarray, sequences) if len(s) >= 2]
+    if not seqs:
+        return (np.zeros(0, np.int32), np.zeros(0, np.int32),
+                np.zeros(1, np.int64))
+    # every position of a sequence of length >= 2 has a non-empty context
+    targets = np.concatenate(seqs).astype(np.int32)
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    pos = np.arange(targets.size) - np.repeat(np.cumsum(lengths) - lengths,
+                                              lengths)
+    left = np.minimum(pos, w)
+    counts = left + np.minimum(np.repeat(lengths, lengths) - 1 - pos, w)
+    offsets = np.zeros(targets.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    context = np.empty(offsets[-1], dtype=np.int32)
+    per_chunk = max(1, WINDOW_CHUNK_TOKENS // (2 * w))
+    for a in range(0, targets.size, per_chunk):
+        b = min(a + per_chunk, targets.size)
+        c = counts[a:b]
+        centre = np.repeat(np.arange(a, b), c)
+        # the k-th context token of window i is token i - left[i] + k,
+        # moved one place on once it reaches the target itself
+        k = (np.arange(offsets[b] - offsets[a])
+             - np.repeat(offsets[a:b] - offsets[a], c))
+        src = centre - np.repeat(left[a:b], c) + k
+        src += src >= centre
+        context[offsets[a]:offsets[b]] = targets[src]
+    return targets, context, offsets
 
 
 def softmax(logits):
@@ -167,47 +218,83 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
     """SGD over shuffled context windows; returns the updated model.
 
     Learning rate decays linearly from lr to lr_min over all steps.
-    Deterministic for a fixed seed (single sequential update stream).
+    Deterministic for a fixed seed: one RNG stream draws each epoch's window
+    order and then, in ``neg`` mode, that epoch's negatives, a block of
+    ``TRAIN_BLOCK_STEPS`` steps at a time.  A block draw takes the same
+    numbers from the stream as one draw per step, and every update is
+    applied in step order with unchanged arithmetic, so models are
+    byte-identical to those of the one-draw-per-step trainer.  Each epoch's
+    mean loss, window count and windows/s are logged at INFO level.
     """
-    windows = list(extract_windows(corpus.sequences, params.window))
-    if not windows and params.epochs > 0:
+    targets, context, offsets = context_windows(corpus.sequences, params.window)
+    n_windows = targets.size
+    if n_windows == 0 and params.epochs > 0:
         raise TrainingError("corpus produced no context windows")
     rng = np.random.default_rng([params.seed, 0x7472])
     w_in, w_out = m.w_in, m.w_out
-
-    if params.mode == "neg":
+    neg = params.mode == "neg"
+    if neg:
         noise = _noise_distribution(corpus.sequences, m.n)
         noise_cdf = np.cumsum(noise)
+        labels = np.zeros(params.negatives + 1)
+        labels[0] = 1.0
 
-    total = max(params.epochs * len(windows), 1)
+    total = max(params.epochs * n_windows, 1)
     step = 0
-    for _ in range(params.epochs):
-        for wi in rng.permutation(len(windows)):
-            target, rows = windows[wi]
-            lr = params.lr - (params.lr - params.lr_min) * (step / total)
-            h = w_in[rows].mean(axis=0)
-            if params.mode == "exact":
-                probs = softmax(w_out @ h)
-                loss = -np.log(probs[target])
-                dlogits = probs
-                dlogits[target] -= 1.0
-                dh = w_out.T @ dlogits
-                w_out -= lr * np.outer(dlogits, h)
+    for epoch in range(params.epochs):
+        t0 = time.perf_counter()
+        loss_sum = 0.0
+        order = rng.permutation(n_windows)
+        for b0 in range(0, n_windows, TRAIN_BLOCK_STEPS):
+            block = order[b0:b0 + TRAIN_BLOCK_STEPS]
+            nb = block.size
+            lrs = params.lr - (params.lr - params.lr_min) * (
+                np.arange(step, step + nb) / total)
+            tgts = targets[block]
+            if neg:
+                negs = np.searchsorted(noise_cdf,
+                                       rng.random((nb, params.negatives)))
+                out_rows = np.column_stack((tgts, negs))
+                scores = np.empty(out_rows.shape)
             else:
-                negs = np.searchsorted(noise_cdf, rng.random(params.negatives))
-                out_rows = np.concatenate(([target], negs))
-                labels = np.zeros(out_rows.size)
-                labels[0] = 1.0
-                scores = _sigmoid(w_out[out_rows] @ h)
-                loss = -np.log(np.abs(1.0 - labels - scores) + 1e-12).sum()
-                derr = scores - labels
-                dh = derr @ w_out[out_rows]
-                w_out[out_rows] -= lr * np.outer(derr, h)
-            if not np.isfinite(loss):
+                losses = np.empty(nb)
+            steps = zip(lrs.tolist(), tgts.tolist(), offsets[block].tolist(),
+                        offsets[block + 1].tolist())
+            for j, (lr, target, lo, hi) in enumerate(steps):
+                rows = context[lo:hi]
+                # the sum divided by the count is bit for bit what mean() returns
+                h = w_in.take(rows, axis=0).sum(axis=0) / (hi - lo)
+                if neg:
+                    o = out_rows[j]
+                    wo = w_out.take(o, axis=0)
+                    scores[j] = s = _sigmoid(wo @ h)
+                    derr = s - labels
+                    dh = derr @ wo
+                    # w_out[o] -= lr * outer(derr, h): the same products, and
+                    # for a repeated row the last write wins, as in -=
+                    wo -= lr * (derr[:, None] * h)
+                    w_out[o] = wo
+                else:
+                    probs = softmax(w_out @ h)
+                    losses[j] = -np.log(probs[target])
+                    dlogits = probs
+                    dlogits[target] -= 1.0
+                    dh = w_out.T @ dlogits
+                    w_out -= lr * np.outer(dlogits, h)
+                np.add.at(w_in, rows, -lr * dh / (hi - lo))
+            if neg:
+                losses = -np.log(np.abs(1.0 - labels - scores) + 1e-12).sum(axis=1)
+            bad = np.flatnonzero(~np.isfinite(losses))
+            if bad.size:
+                j = bad[0]
                 raise TrainingError(
-                    f"non-finite loss at step {step} (lr={lr:.6g})")
-            np.add.at(w_in, rows, -lr * dh / rows.size)
-            step += 1
+                    f"non-finite loss at step {step + j} (lr={lrs[j]:.6g})")
+            loss_sum += losses.sum()
+            step += nb
+        elapsed = time.perf_counter() - t0
+        log.info("epoch %d/%d: mean loss %.6g over %d windows, %.0f windows/s",
+                 epoch + 1, params.epochs, loss_sum / n_windows, n_windows,
+                 n_windows / elapsed)
     if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
         raise TrainingError("non-finite parameters after training")
     return m

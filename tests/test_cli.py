@@ -138,6 +138,27 @@ def test_missing_file_is_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_without_windows_is_clean_error(dataset, capsys):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--output", str(d / "g.npz")])
+    (d / "single.txt").write_text(f"{g.ids[0]}\n{g.ids[1]}\n")
+    rc = main(["train", "--graph", str(d / "g.npz"),
+               "--corpus", str(d / "single.txt"), "--dim", "4",
+               "--output", str(d / "model.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: corpus produced no context windows\n"
+
+
+def test_config_flag_without_file_is_clean_error(dataset, capsys):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--output", str(d / "g.npz")])
+    capsys.readouterr()
+    rc = main(["train", "--graph", str(d / "g.npz"), "--config"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --config needs a file argument\n"
+
+
 def test_params_hash_stable():
     h = params_hash({"a": 1, "b": "x"})
     assert h == params_hash({"b": "x", "a": 1})

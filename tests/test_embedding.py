@@ -1,13 +1,19 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citerec.graph import CitationGraph
-from citerec.sampling import WalkCorpus, cocitation_corpus
-from citerec.embedding import (EmbeddingModel, TrainParams, exact_gradients,
-                               exact_loss, extract_windows, forward,
-                               init_model, load_model, save_model, train)
+from citerec.sampling import (SamplingParams, WalkCorpus, cocitation_corpus,
+                              generate_walk_corpus)
+from citerec.embedding import (TRAIN_BLOCK_STEPS, EmbeddingModel, TrainParams,
+                               TrainingError, _noise_distribution, _sigmoid,
+                               context_windows, exact_gradients, exact_loss,
+                               extract_windows, forward, init_model,
+                               load_model, save_model, softmax, train)
 from conftest import make_planted_graph
 
 
@@ -34,6 +40,31 @@ def test_extract_windows_keeps_duplicates():
     wins = list(extract_windows([[0, 1, 0]], 2))
     target, ctx = wins[1]
     assert target == 1 and list(ctx) == [0, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 6), max_size=12), max_size=8),
+       st.integers(1, 14))
+def test_context_windows_match_extract_windows(sequences, w):
+    targets, context, offsets = context_windows(sequences, w)
+    expected = list(extract_windows(sequences, w))
+    assert targets.dtype == context.dtype == np.int32
+    assert offsets.dtype == np.int64
+    assert offsets[0] == 0 and offsets.size == targets.size + 1
+    assert offsets[-1] == context.size
+    assert [int(t) for t in targets] == [t for t, _ in expected]
+    for i, (_, ctx) in enumerate(expected):
+        assert context[offsets[i]:offsets[i + 1]].tolist() == ctx.tolist()
+
+
+def test_context_windows_span_chunks():
+    # more windows than one chunk holds at w=3, with ragged sequences
+    rng = np.random.default_rng(0)
+    seqs = [rng.integers(0, 50, size=rng.integers(0, 30)) for _ in range(2000)]
+    targets, context, offsets = context_windows(seqs, 3)
+    expected = list(extract_windows(seqs, 3))
+    assert targets.tolist() == [t for t, _ in expected]
+    assert context.tolist() == np.concatenate([c for _, c in expected]).tolist()
 
 
 def test_forward_uniform_for_zero_output_matrix():
@@ -146,6 +177,107 @@ def test_train_step_matches_analytic_gradient():
     train(m, corpus, params)
     assert np.allclose(m.w_in, ref_in, atol=1e-12)
     assert np.allclose(m.w_out, ref_out, atol=1e-12)
+
+
+def reference_train(m, corpus, params):
+    """The one-draw-per-step trainer that ``train`` must reproduce bit for
+    bit; returns each epoch's mean loss."""
+    windows = list(extract_windows(corpus.sequences, params.window))
+    rng = np.random.default_rng([params.seed, 0x7472])
+    w_in, w_out = m.w_in, m.w_out
+    if params.mode == "neg":
+        noise = _noise_distribution(corpus.sequences, m.n)
+        noise_cdf = np.cumsum(noise)
+    total = max(params.epochs * len(windows), 1)
+    step = 0
+    epoch_losses = []
+    for _ in range(params.epochs):
+        loss_sum = 0.0
+        for wi in rng.permutation(len(windows)):
+            target, rows = windows[wi]
+            lr = params.lr - (params.lr - params.lr_min) * (step / total)
+            h = w_in[rows].mean(axis=0)
+            if params.mode == "exact":
+                probs = softmax(w_out @ h)
+                loss = -np.log(probs[target])
+                dlogits = probs
+                dlogits[target] -= 1.0
+                dh = w_out.T @ dlogits
+                w_out -= lr * np.outer(dlogits, h)
+            else:
+                negs = np.searchsorted(noise_cdf, rng.random(params.negatives))
+                out_rows = np.concatenate(([target], negs))
+                labels = np.zeros(out_rows.size)
+                labels[0] = 1.0
+                scores = _sigmoid(w_out[out_rows] @ h)
+                loss = -np.log(np.abs(1.0 - labels - scores) + 1e-12).sum()
+                derr = scores - labels
+                dh = derr @ w_out[out_rows]
+                w_out[out_rows] -= lr * np.outer(derr, h)
+            np.add.at(w_in, rows, -lr * dh / rows.size)
+            loss_sum += loss
+            step += 1
+        epoch_losses.append(loss_sum / len(windows))
+    return epoch_losses
+
+
+def reference_corpora():
+    g, _ = make_planted_graph(targets=20, citers=15, refs=8, seed=5)
+    cocit = cocitation_corpus(g, 3, seed=1)
+    walks = generate_walk_corpus(
+        g, SamplingParams(n=1, t=10, p=0.25, q=4.0, seed=3), strategy="biased")
+    # short lines: one without a window, and two shorter than the window
+    short = [np.array(s, dtype=np.int64) for s in ([4], [7, 9], [3, 5, 3])]
+    cocit.sequences += short
+    walks.sequences += short
+    return g, {"cocit": cocit, "biased": walks}
+
+
+@pytest.mark.parametrize("mode", ["exact", "neg"])
+@pytest.mark.parametrize("kind", ["cocit", "biased"])
+def test_train_byte_identical_to_reference(mode, kind):
+    g, corpora = reference_corpora()
+    corpus = corpora[kind]
+    params = TrainParams(dim=8, window=5, epochs=3, mode=mode, seed=4)
+    n_windows = context_windows(corpus.sequences, params.window)[0].size
+    assert n_windows > TRAIN_BLOCK_STEPS
+    if kind == "biased":
+        assert any(len(np.unique(s)) < len(s) for s in corpus.sequences)
+    m = train(init_model(g, params), corpus, params)
+    ref = init_model(g, params)
+    reference_train(ref, corpus, params)
+    assert np.array_equal(m.w_in, ref.w_in)
+    assert np.array_equal(m.w_out, ref.w_out)
+
+
+@pytest.mark.parametrize("mode", ["exact", "neg"])
+def test_train_logs_epoch_loss(mode, caplog):
+    g, corpora = reference_corpora()
+    corpus = corpora["cocit"]
+    params = TrainParams(dim=8, window=5, epochs=2, mode=mode, seed=4)
+    n_windows = context_windows(corpus.sequences, params.window)[0].size
+    ref_losses = reference_train(init_model(g, params), corpus, params)
+    with caplog.at_level(logging.INFO, logger="citerec.embedding"):
+        train(init_model(g, params), corpus, params)
+    records = [r for r in caplog.records if r.name == "citerec.embedding"]
+    assert len(records) == params.epochs
+    for epoch, (rec, ref_loss) in enumerate(zip(records, ref_losses), 1):
+        msg = rec.getMessage()
+        assert msg.startswith(f"epoch {epoch}/{params.epochs}:")
+        assert f"over {n_windows} windows" in msg
+        assert "windows/s" in msg
+        logged = float(re.search(r"mean loss (\S+)", msg).group(1))
+        assert logged == pytest.approx(ref_loss, rel=1e-5)
+
+
+def test_train_non_finite_loss_names_first_step():
+    g, corpora = reference_corpora()
+    params = TrainParams(dim=8, window=5, epochs=1, mode="neg", seed=4)
+    m = init_model(g, params)
+    m.w_out[:, 0] = np.nan
+    with pytest.raises(TrainingError,
+                       match=r"non-finite loss at step 0 \(lr=0\.025\)"):
+        train(m, corpora["cocit"], params)
 
 
 def test_loss_decreases_on_toy_corpus():
