@@ -17,7 +17,8 @@ from .graph import CitationGraph, load_graph
 from .sampling import SamplingParams, WalkCorpus, generate_walk_corpus, cocitation_corpus
 from .embedding import (TrainParams, TrainingError, init_model, train,
                         save_model, load_model)
-from .ranking import recommend, write_ranked_csv
+from .ranking import (ALL_METHODS, EMBEDDING_METHODS, recommend,
+                      write_ranked_csv)
 from .baselines import PageRankParams
 from .evaluation import (ExperimentConfig, build_queries, run_experiment,
                          write_report, write_queries)
@@ -121,8 +122,7 @@ def cmd_evaluate(args):
     sparams = SamplingParams(n=args.n, t=args.t, seed=args.seed)
     tparams = TrainParams(dim=args.dim, window=args.window, epochs=args.epochs,
                           mode=args.mode, seed=args.seed)
-    embedding_needed = any(m in ("simavg", "simwgd", "simref", "citmod")
-                           for m in methods)
+    embedding_needed = any(m in EMBEDDING_METHODS for m in methods)
     for y in years:
         graphs[y] = g.time_slice(y)
         if embedding_needed:
@@ -144,6 +144,16 @@ def cmd_evaluate(args):
     return 0
 
 
+def _write_series(path, header, lines, methods, cells):
+    """One CSV line per (label, k, ratio) with a column per method, read
+    from ``cells[(method, k, ratio)]``; absent cells are left empty."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "," + ",".join(methods) + "\n")
+        for label, k, ratio in lines:
+            vals = [cells.get((m, k, ratio), "") for m in methods]
+            f.write(label + "," + ",".join(vals) + "\n")
+
+
 def cmd_plotdata(args):
     rows = []
     with open(args.report, encoding="utf-8") as f:
@@ -154,30 +164,17 @@ def cmd_plotdata(args):
     ks = sorted({int(r["k"]) for r in rows})
     ratios = sorted({float(r["hidden_ratio"]) for r in rows})
 
-    # recall vs k, one series per method, at each hidden ratio
-    with open(args.prefix + "_recall_vs_k.csv", "w", encoding="utf-8") as f:
-        f.write("hidden_ratio,k," + ",".join(methods) + "\n")
-        for ratio in ratios:
-            for k in ks:
-                vals = []
-                for m in methods:
-                    match = [r for r in rows if r["method"] == m
-                             and int(r["k"]) == k
-                             and float(r["hidden_ratio"]) == ratio]
-                    vals.append(match[0]["mean_recall"] if match else "")
-                f.write(f"{ratio:g},{k}," + ",".join(vals) + "\n")
-    # recall vs hidden ratio, one series per method, at each k
-    with open(args.prefix + "_recall_vs_ratio.csv", "w", encoding="utf-8") as f:
-        f.write("k,hidden_ratio," + ",".join(methods) + "\n")
-        for k in ks:
-            for ratio in ratios:
-                vals = []
-                for m in methods:
-                    match = [r for r in rows if r["method"] == m
-                             and int(r["k"]) == k
-                             and float(r["hidden_ratio"]) == ratio]
-                    vals.append(match[0]["mean_recall"] if match else "")
-                f.write(f"{k},{ratio:g}," + ",".join(vals) + "\n")
+    cells = {}
+    for r in rows:
+        key = (r["method"], int(r["k"]), float(r["hidden_ratio"]))
+        cells.setdefault(key, r["mean_recall"])
+    # recall vs k at each hidden ratio, and vs hidden ratio at each k
+    _write_series(args.prefix + "_recall_vs_k.csv", "hidden_ratio,k",
+                  [(f"{r:g},{k}", k, r) for r in ratios for k in ks],
+                  methods, cells)
+    _write_series(args.prefix + "_recall_vs_ratio.csv", "k,hidden_ratio",
+                  [(f"{k},{r:g}", k, r) for k in ks for r in ratios],
+                  methods, cells)
     print(f"plotdata: {len(rows)} report rows -> {args.prefix}_recall_vs_k.csv, "
           f"{args.prefix}_recall_vs_ratio.csv")
     return 0
@@ -236,9 +233,7 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("recommend", help="rank candidates for a seed set")
-    p.add_argument("--method", required=True,
-                   choices=["simavg", "simwgd", "simref", "citmod",
-                            "paperrank", "cf"])
+    p.add_argument("--method", required=True, choices=ALL_METHODS)
     p.add_argument("--seeds", required=True, help="comma-separated paper ids")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--model", default=None, help="embedding model file")
@@ -257,8 +252,7 @@ def build_parser():
     p.add_argument("--min-year", type=int, default=2005)
     p.add_argument("--max-year", type=int, default=2010)
     p.add_argument("--k-values", default="10,25,50,100")
-    p.add_argument("--methods", default=",".join(
-        ["simavg", "simwgd", "simref", "citmod", "paperrank", "cf"]))
+    p.add_argument("--methods", default=",".join(ALL_METHODS))
     p.add_argument("--strategy", choices=["uniform", "biased", "cocit"],
                    default="cocit")
     p.add_argument("--n", type=int, default=10)

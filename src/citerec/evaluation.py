@@ -15,11 +15,9 @@ import numpy as np
 
 from .graph import CitationGraph, YEAR_UNKNOWN
 from .baselines import PageRankParams
-from .ranking import recommend
+from .ranking import ALL_METHODS, EMBEDDING_METHODS, METHODS, recommend
 
 log = logging.getLogger(__name__)
-
-ALL_METHODS = ("simavg", "simwgd", "simref", "citmod", "paperrank", "cf")
 
 
 @dataclass
@@ -53,6 +51,11 @@ class ExperimentConfig:
                 raise ValueError("hidden ratios must lie in (0, 1)")
         if self.ref_range[0] > self.ref_range[1] or self.year_range[0] > self.year_range[1]:
             raise ValueError("empty range")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ValueError(f"unknown ranking method: {m!r}")
+        if not self.k_values or min(self.k_values) < 1:
+            raise ValueError("k values must be >= 1")
 
 
 def hidden_count(n_refs, ratio):
@@ -81,18 +84,16 @@ def build_queries(g: CitationGraph, cfg: ExperimentConfig, ratio, rng=None):
         & (ref_counts >= r_lo) & (ref_counts <= r_hi))
     order = rng.permutation(eligible)
 
-    slices = {}
     queries = []
     for v in order:
         if len(queries) == cfg.n_queries:
             break
         v = int(v)
         year = int(g.years[v])
-        if year - 1 not in slices:
-            sl = g.time_slice(year - 1)
-            slices[year - 1] = {tok for tok in sl.ids}
-        alive = slices[year - 1]
-        refs = [g.ids[r] for r in g.refs(v) if g.ids[r] in alive]
+        rows = g.refs(v)
+        ref_years = g.years[rows]
+        alive = (ref_years != YEAR_UNKNOWN) & (ref_years <= year - 1)
+        refs = [g.ids[r] for r in rows[alive]]
         if len(refs) < 2:
             continue
         n_hide = hidden_count(len(refs), ratio)
@@ -124,16 +125,20 @@ def recall_at_k(ranked, hidden, k):
 
 def check_no_time_leakage(models_or_graphs, full_graph: CitationGraph, queries):
     """Every node available to the model serving a query must predate the
-    query year.  Raises on violation."""
+    query year.  Raises on violation, naming the first query in list order
+    that a leaking node serves."""
+    first_query = {}
     for q in queries:
-        serving = models_or_graphs[q.year - 1]
-        ids = serving.ids
-        for tok in ids:
-            y = full_graph.year_of(tok)
-            if y is None or y > q.year - 1:
-                raise ValueError(
-                    f"time leakage: {tok!r} (year {y}) serves query "
-                    f"{q.query_id!r} of year {q.year}")
+        first_query.setdefault(q.year - 1, q)
+    for year, q in first_query.items():
+        ids = models_or_graphs[year].ids
+        years = full_graph.years[[full_graph.index_of(t) for t in ids]]
+        bad = np.flatnonzero((years == YEAR_UNKNOWN) | (years > year))
+        if bad.size:
+            tok = ids[bad[0]]
+            raise ValueError(
+                f"time leakage: {tok!r} (year {full_graph.year_of(tok)}) "
+                f"serves query {q.query_id!r} of year {q.year}")
 
 
 def run_experiment(g: CitationGraph, cfg: ExperimentConfig, graphs, models,
@@ -152,9 +157,7 @@ def run_experiment(g: CitationGraph, cfg: ExperimentConfig, graphs, models,
     for qs in queries_by_ratio.values():
         needed.update(q.year - 1 for q in qs)
     missing = sorted(y for y in needed if y not in graphs)
-    embedding_needed = any(m in ("simavg", "simwgd", "simref", "citmod")
-                           for m in cfg.methods)
-    if embedding_needed:
+    if any(m in EMBEDDING_METHODS for m in cfg.methods):
         missing = sorted(set(missing) | {y for y in needed if y not in models})
     if missing:
         raise ValueError(f"missing sliced graph/model for years: {missing}")
@@ -170,7 +173,7 @@ def run_experiment(g: CitationGraph, cfg: ExperimentConfig, graphs, models,
                 continue
             for method in cfg.methods:
                 rng = (np.random.default_rng([cfg.seed, 0x72616E64, qi])
-                       if method == "random" else None)
+                       if "rng" in METHODS[method].needs else None)
                 ranked = recommend(method, seeds, max_k, model=model,
                                    graph=sl, pr_params=pr_params, rng=rng)
                 rec = {"method": method, "hidden_ratio": ratio,

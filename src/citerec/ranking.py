@@ -2,18 +2,19 @@
 
 Three embedding-based schemes (cosine against seeds, degree-weighted
 cosine, cosine against the mean seed vector) and one model-based scheme
-that runs the trained predictor with the seeds as context.
+that runs the trained predictor with the seeds as context.  ``METHODS``
+registers them with the baselines under the names every caller uses.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
+from .baselines import cf_scores, paperrank
 from .embedding import EmbeddingModel, forward
 from .graph import CitationGraph
-
-COSINE_METHODS = ("simavg", "simwgd", "simref")
-EMBEDDING_METHODS = COSINE_METHODS + ("citmod",)
 
 
 def _seed_rows(m: EmbeddingModel, seeds):
@@ -23,45 +24,37 @@ def _seed_rows(m: EmbeddingModel, seeds):
     return rows
 
 
-def _cosine_to_all(m: EmbeddingModel, vec):
-    """Cosine of every input-matrix row against vec; zero vectors score 0."""
-    norms = np.linalg.norm(m.w_in, axis=1)
-    vnorm = np.linalg.norm(vec)
-    if vnorm == 0:
-        return np.zeros(m.n)
-    denom = norms * vnorm
-    out = np.zeros(m.n)
-    nz = denom > 0
-    out[nz] = (m.w_in[nz] @ vec) / denom[nz]
-    return out
+def _cosines(m: EmbeddingModel, refs):
+    """Cosine of every input-matrix row against each row of ``refs``, as an
+    N x k array; zero vectors score 0.  Built k x N and returned transposed,
+    so that a sum over the columns adds them in ``refs`` order."""
+    denom = np.outer(np.linalg.norm(refs, axis=1),
+                     np.linalg.norm(m.w_in, axis=1))
+    out = np.zeros(denom.shape)
+    np.divide(refs @ m.w_in.T, denom, out=out, where=denom > 0)
+    return out.T
 
 
 def sim_avg(m: EmbeddingModel, seeds):
     """Mean cosine similarity to the seed vectors, for every candidate."""
-    rows = _seed_rows(m, seeds)
-    scores = np.zeros(m.n)
-    for r in rows:
-        scores += _cosine_to_all(m, m.w_in[r])
-    return scores / rows.size
+    return _cosines(m, m.w_in[_seed_rows(m, seeds)]).mean(axis=1)
 
 
 def sim_wgd(m: EmbeddingModel, g: CitationGraph, seeds):
     """Like sim_avg but each seed weighted by 1/degree in the training
-    graph; isolated seeds contribute nothing."""
+    graph; isolated seeds contribute nothing.  Dividing by the degree, not
+    multiplying by its inverse, rounds as a per-seed sum of cos/degree."""
     rows = _seed_rows(m, seeds)
-    scores = np.zeros(m.n)
-    for r, tok in zip(rows, (m.ids[r] for r in rows)):
-        delta = g.degree(g.index_of(tok))
-        if delta == 0:
-            continue
-        scores += _cosine_to_all(m, m.w_in[r]) / delta
-    return scores / rows.size
+    delta = np.array([g.degree(g.index_of(m.ids[r])) for r in rows])
+    live = delta > 0
+    cos = _cosines(m, m.w_in[rows[live]])
+    return (cos / delta[live]).sum(axis=1) / rows.size
 
 
 def sim_ref(m: EmbeddingModel, seeds):
     """Cosine similarity to the mean of the seed vectors."""
     rows = _seed_rows(m, seeds)
-    return _cosine_to_all(m, m.w_in[rows].mean(axis=0))
+    return _cosines(m, m.w_in[rows].mean(axis=0, keepdims=True))[:, 0]
 
 
 def cit_mod(m: EmbeddingModel, seeds):
@@ -88,44 +81,52 @@ def rank_scores(ids, scores, exclude, k=None):
     return out
 
 
+_INPUTS = {"model": "an embedding model", "graph": "a graph", "rng": "an RNG"}
+
+
+class Method(NamedTuple):
+    needs: tuple       # the recommend() inputs it uses, keys of _INPUTS
+    score: Callable    # score(model, graph, seeds, pr_params, rng) -> scores
+
+
+METHODS = {
+    "simavg": Method(("model",), lambda m, g, s, pr, rng: sim_avg(m, s)),
+    "simwgd": Method(("model", "graph"),
+                     lambda m, g, s, pr, rng: sim_wgd(m, g, s)),
+    "simref": Method(("model",), lambda m, g, s, pr, rng: sim_ref(m, s)),
+    "citmod": Method(("model",), lambda m, g, s, pr, rng: cit_mod(m, s)),
+    "paperrank": Method(("graph",),
+                        lambda m, g, s, pr, rng: paperrank(g, s, pr)),
+    "cf": Method(("graph",), lambda m, g, s, pr, rng: cf_scores(g, s)),
+    "random": Method(("graph", "rng"),
+                     lambda m, g, s, pr, rng:
+                     rng.permutation(g.n).astype(np.float64)),
+}
+EMBEDDING_METHODS = tuple(
+    name for name, meth in METHODS.items() if "model" in meth.needs)
+# the paper's six methods: all but the random control, the one RNG user
+ALL_METHODS = tuple(
+    name for name, meth in METHODS.items() if "rng" not in meth.needs)
+
+
 def recommend(method, seeds, k, model: EmbeddingModel = None,
               graph: CitationGraph = None, pr_params=None, rng=None):
-    """Ranked (paper_id, score) list for one of the six scoring methods.
-
-    Seeds are always excluded from the output.
-    """
-    from . import baselines
-
+    """Ranked (paper_id, score) list for one method of ``METHODS``, over
+    the model's papers if it needs a model, else the graph's.  Seeds are
+    always excluded from the output."""
     if k < 1:
         raise ValueError("k must be >= 1")
     seeds = list(dict.fromkeys(seeds))
-    if method in EMBEDDING_METHODS:
-        if model is None:
-            raise ValueError(f"method {method!r} requires an embedding model")
-        if method == "simavg":
-            scores = sim_avg(model, seeds)
-        elif method == "simwgd":
-            if graph is None:
-                raise ValueError("simwgd requires the training graph")
-            scores = sim_wgd(model, graph, seeds)
-        elif method == "simref":
-            scores = sim_ref(model, seeds)
-        else:
-            scores = cit_mod(model, seeds)
-        return rank_scores(model.ids, scores, seeds, k)
-    if method in ("paperrank", "cf", "random"):
-        if graph is None:
-            raise ValueError(f"method {method!r} requires a graph")
-        if method == "paperrank":
-            scores = baselines.paperrank(graph, seeds, pr_params)
-        elif method == "cf":
-            scores = baselines.cf_scores(graph, seeds)
-        else:
-            if rng is None:
-                raise ValueError("random control requires an RNG")
-            scores = rng.permutation(graph.n).astype(np.float64)
-        return rank_scores(graph.ids, scores, seeds, k)
-    raise ValueError(f"unknown ranking method: {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown ranking method: {method!r}")
+    meth = METHODS[method]
+    given = {"model": model, "graph": graph, "rng": rng}
+    for need in meth.needs:
+        if given[need] is None:
+            raise ValueError(f"method {method!r} requires {_INPUTS[need]}")
+    scores = meth.score(model, graph, seeds, pr_params, rng)
+    ids = model.ids if "model" in meth.needs else graph.ids
+    return rank_scores(ids, scores, seeds, k)
 
 
 def write_ranked_csv(path, ranked):

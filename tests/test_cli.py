@@ -1,5 +1,6 @@
 import pytest
 
+from citerec import cli
 from citerec.cli import main, params_hash, read_config
 from conftest import make_synthetic_citation_corpus_graph
 
@@ -101,11 +102,43 @@ def test_evaluate_and_plotdata(dataset):
 
     assert main(["plotdata", "--report", str(d / "report.csv"),
                  "--prefix", str(d / "series")]) == 0
-    vk = (d / "series_recall_vs_k.csv").read_text().splitlines()
-    assert vk[0] == "hidden_ratio,k,paperrank,simavg"
-    assert len(vk) == 1 + 2 * 2
-    vr = (d / "series_recall_vs_ratio.csv").read_text().splitlines()
-    assert vr[0] == "k,hidden_ratio,paperrank,simavg"
+    assert (d / "series_recall_vs_k.csv").read_text() == (
+        "hidden_ratio,k,paperrank,simavg\n"
+        "0.1,5,0.125000,0.000000\n"
+        "0.1,10,0.375000,0.000000\n"
+        "0.9,5,0.168750,0.031250\n"
+        "0.9,10,0.212500,0.062996\n")
+    assert (d / "series_recall_vs_ratio.csv").read_text() == (
+        "k,hidden_ratio,paperrank,simavg\n"
+        "5,0.1,0.125000,0.000000\n"
+        "5,0.9,0.168750,0.031250\n"
+        "10,0.1,0.375000,0.000000\n"
+        "10,0.9,0.212500,0.062996\n")
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--methods", "citmod,bogus", "unknown ranking method: 'bogus'"),
+    ("--methods", "citmod,", "unknown ranking method: ''"),
+    ("--k-values", "0,10", "k values must be >= 1"),
+])
+def test_evaluate_rejects_bad_config_before_training(dataset, capsys,
+                                                     monkeypatch, flag,
+                                                     value, message):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--nodes", str(nodes),
+          "--output", str(d / "g.npz")])
+    capsys.readouterr()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train called before the config was checked")
+    monkeypatch.setattr(cli, "train", no_training)
+    rc = main(["evaluate", "--graph", str(d / "g.npz"), "--queries", "8",
+               "--min-refs", "3", "--max-refs", "12", "--dim", "8",
+               "--epochs", "1", flag, value,
+               "--output", str(d / "report.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (d / "report.csv").exists()
 
 
 def test_config_file_defaults(dataset, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from citerec.graph import CitationGraph
+from citerec.graph import YEAR_UNKNOWN, CitationGraph
 from citerec.embedding import TrainParams, init_model
 from citerec.evaluation import (ExperimentConfig, Query, build_queries,
                                 check_no_time_leakage, hidden_count,
@@ -54,6 +54,55 @@ def test_build_queries_contract():
         for tok in q.seeds + q.hidden:
             assert g.year_of(tok) is not None and g.year_of(tok) <= year - 1
         assert len(q.hidden) == hidden_count(len(q.seeds) + len(q.hidden), 0.1)
+
+
+def reference_build_queries(g, cfg, ratio, rng):
+    """Query building with the references of a year-y query restricted to
+    the ids of the full time slice at y-1."""
+    y_lo, y_hi = cfg.year_range
+    r_lo, r_hi = cfg.ref_range
+    ref_counts = np.diff(g.ref_indptr)
+    eligible = np.flatnonzero(
+        (g.years != YEAR_UNKNOWN)
+        & (g.years >= y_lo) & (g.years <= y_hi)
+        & (ref_counts >= r_lo) & (ref_counts <= r_hi))
+    slices = {}
+    queries = []
+    for v in rng.permutation(eligible):
+        if len(queries) == cfg.n_queries:
+            break
+        year = int(g.years[v])
+        if year - 1 not in slices:
+            slices[year - 1] = set(g.time_slice(year - 1).ids)
+        refs = [g.ids[r] for r in g.refs(v) if g.ids[r] in slices[year - 1]]
+        if len(refs) < 2:
+            continue
+        n_hide = hidden_count(len(refs), ratio)
+        hide_set = set(int(i) for i in rng.choice(len(refs), size=n_hide,
+                                                  replace=False))
+        queries.append(Query(
+            query_id=g.ids[v], year=year,
+            seeds=[r for i, r in enumerate(refs) if i not in hide_set],
+            hidden=[refs[i] for i in sorted(hide_set)], hidden_ratio=ratio))
+    return queries
+
+
+def test_build_queries_matches_time_slice_reference():
+    full = eval_graph()
+    edges = [(full.ids[v], full.ids[r])
+             for v in range(full.n) for r in full.refs(v)]
+    # every fifth paper loses its year, so some references are unknown-year
+    years = {t: full.year_of(t) for i, t in enumerate(full.ids) if i % 5}
+    g = CitationGraph.from_edges(edges, years)
+    assert (g.years == YEAR_UNKNOWN).any()
+    for ratio in (0.1, 0.5, 0.9):
+        cfg = eval_config(n_queries=60, year_range=(2001, 2010))
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        got = build_queries(g, cfg, ratio, rng=rng_a)
+        want = reference_build_queries(g, cfg, ratio, rng_b)
+        assert len(got) > 10
+        assert got == want
+        assert rng_a.random() == rng_b.random()     # same draws consumed
 
 
 def test_build_queries_deterministic():
@@ -189,6 +238,28 @@ def test_no_time_leakage_check():
                                             if y != year}}, g2, queries[:1])
 
 
+def test_time_leakage_names_first_query_of_poisoned_year():
+    g = eval_graph()
+    cfg = eval_config(n_queries=40)
+    queries_by_ratio, graphs, _ = _slices_and_models(g, cfg)
+    queries = queries_by_ratio[0.1]
+    early, late = sorted({q.year for q in queries})[-2:]
+    a = [q for q in queries if q.year == early][:2]
+    b = [q for q in queries if q.year == late][:2]
+    assert len(a) == len(b) == 2
+    # the later year's slice gains a paper from after its query year; it
+    # also holds every id of the earlier slice, so it serves as full graph
+    poisoned = CitationGraph.from_edges([], years={
+        **{t: g.year_of(t) for t in graphs[late - 1].ids}, "future": late + 3})
+    serving = {**graphs, late - 1: poisoned}
+    check_no_time_leakage(serving, poisoned, a)     # must not raise
+    with pytest.raises(ValueError) as err:
+        check_no_time_leakage(serving, poisoned, [a[0], b[0], a[1], b[1]])
+    assert str(err.value) == (
+        f"time leakage: 'future' (year {late + 3}) serves query "
+        f"{b[0].query_id!r} of year {late}")
+
+
 def test_query_file_roundtrip(tmp_path):
     queries = [Query("q1", 2006, ["a", "b"], ["c"], 0.1),
                Query("q2", 2007, ["d"], ["e", "f"], 0.5)]
@@ -214,3 +285,10 @@ def test_experiment_config_validation():
         ExperimentConfig(hidden_ratios=(1.5,))
     with pytest.raises(ValueError):
         ExperimentConfig(ref_range=(10, 5))
+    for methods in [("citmod", "bogus"), ("citmod", "")]:
+        with pytest.raises(ValueError, match="unknown ranking method"):
+            ExperimentConfig(methods=methods)
+    for ks in [(), (0, 10), (10, -1)]:
+        with pytest.raises(ValueError, match="k values"):
+            ExperimentConfig(k_values=ks)
+    ExperimentConfig(methods=("random",), k_values=(1,))

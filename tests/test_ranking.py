@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from citerec.cli import build_parser
 from citerec.graph import CitationGraph
 from citerec.embedding import EmbeddingModel
-from citerec.ranking import (cit_mod, rank_scores, recommend, sim_avg,
-                             sim_ref, sim_wgd, write_ranked_csv)
+from citerec.ranking import (ALL_METHODS, EMBEDDING_METHODS, METHODS, cit_mod,
+                             rank_scores, recommend, sim_avg, sim_ref, sim_wgd,
+                             write_ranked_csv)
 
 
 def model_from(vectors, w_out=None):
@@ -136,3 +139,122 @@ def test_ranked_csv_format(tmp_path):
     assert lines[0] == "rank,paper_id,score"
     assert lines[1] == "1,a,0.123457"
     assert lines[2] == "2,b,0.500000"
+
+
+# Reference scorers: one full cosine pass per seed, straight from the
+# definitions.  The cosine core must agree with them.
+
+def _cosine_to_all(m: EmbeddingModel, vec):
+    """Cosine of every input-matrix row against vec; zero vectors score 0."""
+    norms = np.linalg.norm(m.w_in, axis=1)
+    vnorm = np.linalg.norm(vec)
+    if vnorm == 0:
+        return np.zeros(m.n)
+    denom = norms * vnorm
+    out = np.zeros(m.n)
+    nz = denom > 0
+    out[nz] = (m.w_in[nz] @ vec) / denom[nz]
+    return out
+
+
+def _reference_rows(m, seeds):
+    return np.array(sorted(m.index_of(s) for s in seeds), dtype=np.int64)
+
+
+def reference_sim_avg(m, seeds):
+    rows = _reference_rows(m, seeds)
+    scores = np.zeros(m.n)
+    for r in rows:
+        scores += _cosine_to_all(m, m.w_in[r])
+    return scores / rows.size
+
+
+def reference_sim_wgd(m, g, seeds):
+    rows = _reference_rows(m, seeds)
+    scores = np.zeros(m.n)
+    for r, tok in zip(rows, (m.ids[r] for r in rows)):
+        delta = g.degree(g.index_of(tok))
+        if delta == 0:
+            continue
+        scores += _cosine_to_all(m, m.w_in[r]) / delta
+    return scores / rows.size
+
+
+def reference_sim_ref(m, seeds):
+    rows = _reference_rows(m, seeds)
+    return _cosine_to_all(m, m.w_in[rows].mean(axis=0))
+
+
+@st.composite
+def models_seeds_graphs(draw, integral):
+    """A model with zero rows, a seed list with repeats, and a training
+    graph in which some seeds are isolated."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 5))
+    if integral:
+        vecs = np.array(draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+            min_size=n, max_size=n)), dtype=np.float64)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        vecs = rng.normal(size=(n, d))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n // 2)):
+        vecs[i] = 0.0
+    m = model_from(vecs)
+    seeds = [f"n{i}" for i in draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=8))]
+    edges = [(f"n{a}", f"n{b}") for a, b in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=2 * n)) if a != b]
+    g = CitationGraph.from_edges(edges, years={t: 2000 for t in m.ids})
+    return m, seeds, g
+
+
+def _scorer_pairs(m, seeds, g):
+    # With integer vectors every dot product is exact whatever its order;
+    # a power-of-two seed count also keeps the mean seed vector exact.
+    ref_seeds = seeds[:1 << (len(seeds).bit_length() - 1)]
+    return [(sim_avg(m, seeds), reference_sim_avg(m, seeds), seeds),
+            (sim_wgd(m, g, seeds), reference_sim_wgd(m, g, seeds), seeds),
+            (sim_ref(m, ref_seeds), reference_sim_ref(m, ref_seeds),
+             ref_seeds)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_seeds_graphs(integral=True))
+def test_cosine_core_matches_per_seed_reference(case):
+    m, seeds, g = case
+    for new, ref, used in _scorer_pairs(m, seeds, g):
+        np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
+        assert rank_scores(m.ids, new, used) == rank_scores(m.ids, ref, used)
+
+
+@settings(max_examples=100, deadline=None)
+@given(models_seeds_graphs(integral=False))
+def test_cosine_core_close_to_reference_on_real_vectors(case):
+    # real-valued products round in BLAS order, so only closeness holds
+    m, seeds, g = case
+    for new, ref, _ in _scorer_pairs(m, seeds, g):
+        np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
+
+
+def test_registry_runs_every_method_and_feeds_the_cli():
+    assert EMBEDDING_METHODS == ("simavg", "simwgd", "simref", "citmod")
+    assert ALL_METHODS == EMBEDDING_METHODS + ("paperrank", "cf")
+    assert list(METHODS) == list(ALL_METHODS) + ["random"]
+    g = CitationGraph.from_edges([("n0", "n1"), ("n1", "n2"), ("n3", "n0")])
+    rng = np.random.default_rng(8)
+    m = EmbeddingModel(g.ids, rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+    for method in METHODS:
+        ranked = recommend(method, ["n0", "n0"], 5, model=m, graph=g,
+                           rng=np.random.default_rng(0))
+        assert sorted(tok for tok, _ in ranked) == ["n1", "n2", "n3"]
+    with pytest.raises(ValueError, match="requires an RNG"):
+        recommend("random", ["n0"], 5, graph=g)
+    with pytest.raises(ValueError, match="requires a graph"):
+        recommend("simwgd", ["n0"], 5, model=m)
+
+    sub = build_parser()._subparsers._group_actions[0].choices
+    method_arg, = [a for a in sub["recommend"]._actions if a.dest == "method"]
+    assert list(method_arg.choices) == list(ALL_METHODS)
+    assert sub["evaluate"].get_default("methods") == ",".join(ALL_METHODS)
