@@ -5,11 +5,14 @@ by cited-paper incidence.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import CitationGraph
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -25,16 +28,13 @@ class PageRankParams:
             raise ValueError("tolerance must be positive")
 
 
-def _segment_sums(values, indptr):
-    csum = np.concatenate(([0.0], np.cumsum(values)))
-    return csum[indptr[1:]] - csum[indptr[:-1]]
-
-
 def paperrank(g: CitationGraph, seeds, params: PageRankParams = None):
     """Random walk with restart to the seed set, on the undirected view.
 
     Dangling (zero-degree) probability mass is redistributed to the restart
-    vector; the result is a probability distribution over all nodes.
+    vector; the result is a probability distribution over all nodes.  Each
+    iteration sums x/deg over every node's neighbourhood directly.  Stopping
+    at ``max_iter`` before the L1 change drops below ``tol`` logs a warning.
     """
     if params is None:
         params = PageRankParams()
@@ -47,17 +47,28 @@ def paperrank(g: CitationGraph, seeds, params: PageRankParams = None):
     deg = g.degrees.astype(np.float64)
     dangling = deg == 0
     safe_deg = np.where(dangling, 1.0, deg)
+    # reduceat rejects a start equal to len(values) and gives an empty row
+    # the next row's first value, so only non-isolated rows get a start.
+    linked = ~dangling
+    starts = g.adj_indptr[:-1][linked]
+    spread = np.zeros(g.n)
 
     x = restart.copy()
-    for _ in range(params.max_iter):
+    residual = np.inf
+    iters = 0
+    for iters in range(1, params.max_iter + 1):
         contrib = x / safe_deg
-        spread = _segment_sums(contrib[g.adj_indices], g.adj_indptr)
+        spread[linked] = np.add.reduceat(contrib[g.adj_indices], starts)
         dangling_mass = x[dangling].sum()
         x_new = lam * (spread + dangling_mass * restart) + (1 - lam) * restart
-        if np.abs(x_new - x).sum() < params.tol:
-            x = x_new
-            break
+        residual = np.abs(x_new - x).sum()
         x = x_new
+        if residual < params.tol:
+            break
+    else:
+        log.warning("paperrank stopped at max_iter=%d with L1 residual %.3g "
+                    "above tol=%g", params.max_iter, residual, params.tol)
+    log.debug("paperrank: %d iterations, L1 residual %.3g", iters, residual)
     return x
 
 

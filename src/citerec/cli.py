@@ -158,8 +158,14 @@ def cmd_plotdata(args):
     rows = []
     with open(args.report, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
-        for line in f:
-            rows.append(dict(zip(header, line.strip().split(","))))
+        for lineno, line in enumerate(f, 2):
+            fields = line.strip().split(",")
+            if fields == [""]:
+                continue
+            if len(fields) != len(header):
+                raise ValueError(f"{args.report}:{lineno}: "
+                                 f"expected {len(header)} fields")
+            rows.append(dict(zip(header, fields)))
     methods = sorted({r["method"] for r in rows})
     ks = sorted({int(r["k"]) for r in rows})
     ratios = sorted({float(r["hidden_ratio"]) for r in rows})

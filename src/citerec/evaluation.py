@@ -51,6 +51,8 @@ class ExperimentConfig:
                 raise ValueError("hidden ratios must lie in (0, 1)")
         if self.ref_range[0] > self.ref_range[1] or self.year_range[0] > self.year_range[1]:
             raise ValueError("empty range")
+        if self.n_queries < 1:
+            raise ValueError("n_queries must be >= 1")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown ranking method: {m!r}")

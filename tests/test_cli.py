@@ -120,6 +120,8 @@ def test_evaluate_and_plotdata(dataset):
     ("--methods", "citmod,bogus", "unknown ranking method: 'bogus'"),
     ("--methods", "citmod,", "unknown ranking method: ''"),
     ("--k-values", "0,10", "k values must be >= 1"),
+    ("--queries", "0", "n_queries must be >= 1"),
+    ("--queries", "-5", "n_queries must be >= 1"),
 ])
 def test_evaluate_rejects_bad_config_before_training(dataset, capsys,
                                                      monkeypatch, flag,
@@ -203,3 +205,25 @@ def test_read_config_rejects_garbage(tmp_path):
     p.write_text("just words\n")
     with pytest.raises(ValueError, match="key = value"):
         read_config(p)
+
+
+REPORT_HEADER = "method,hidden_ratio,k,mean_recall,n_queries\n"
+
+
+def test_plotdata_skips_blank_lines(tmp_path):
+    report = tmp_path / "report.csv"
+    report.write_text(REPORT_HEADER + "cf,0.1,10,0.500000,4\n\n"
+                      "cf,0.1,50,0.750000,4\n\n")
+    assert main(["plotdata", "--report", str(report),
+                 "--prefix", str(tmp_path / "series")]) == 0
+    assert (tmp_path / "series_recall_vs_k.csv").read_text() == (
+        "hidden_ratio,k,cf\n0.1,10,0.500000\n0.1,50,0.750000\n")
+
+
+def test_plotdata_rejects_short_row(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    report.write_text(REPORT_HEADER + "cf,0.1,10,0.500000,4\ncf,0.1\n")
+    assert main(["plotdata", "--report", str(report),
+                 "--prefix", str(tmp_path / "series")]) == 1
+    assert capsys.readouterr().err == f"error: {report}:3: expected 5 fields\n"
+    assert not (tmp_path / "series_recall_vs_k.csv").exists()

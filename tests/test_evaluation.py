@@ -291,4 +291,7 @@ def test_experiment_config_validation():
     for ks in [(), (0, 10), (10, -1)]:
         with pytest.raises(ValueError, match="k values"):
             ExperimentConfig(k_values=ks)
-    ExperimentConfig(methods=("random",), k_values=(1,))
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n_queries must be >= 1"):
+            ExperimentConfig(n_queries=n)
+    ExperimentConfig(methods=("random",), k_values=(1,), n_queries=1)
