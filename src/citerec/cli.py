@@ -24,6 +24,9 @@ from .evaluation import (ExperimentConfig, build_queries, run_experiment,
                          write_report, write_queries)
 
 
+STRATEGIES = ("uniform", "biased", "cocit")
+
+
 def params_hash(params: dict) -> str:
     blob = ";".join(f"{k}={params[k]}" for k in sorted(params))
     return hashlib.sha1(blob.encode()).hexdigest()[:12]
@@ -49,6 +52,15 @@ def _load_any_graph(path, nodes=None):
     return load_graph(path, nodes)
 
 
+def _sample_corpus(g, strategy, n, seed, **walk):
+    """The ``strategy`` corpus of ``g``; cocit ignores the walk parameters
+    (t, p, q)."""
+    if strategy == "cocit":
+        return cocitation_corpus(g, n, seed=seed)
+    return generate_walk_corpus(g, SamplingParams(n=n, seed=seed, **walk),
+                                strategy)
+
+
 def cmd_ingest(args):
     g = load_graph(args.edges, args.nodes)
     g.save_cache(args.output)
@@ -68,12 +80,8 @@ def cmd_slice(args):
 
 def cmd_sample(args):
     g = _load_any_graph(args.graph, args.nodes)
-    if args.strategy == "cocit":
-        corpus = cocitation_corpus(g, args.n, seed=args.seed)
-    else:
-        params = SamplingParams(n=args.n, t=args.t, p=args.p, q=args.q,
-                                seed=args.seed)
-        corpus = generate_walk_corpus(g, params, strategy=args.strategy)
+    corpus = _sample_corpus(g, args.strategy, args.n, args.seed,
+                            t=args.t, p=args.p, q=args.q)
     corpus.params["params_hash"] = params_hash(corpus.params)
     corpus.save(args.output, g)
     print(f"sample: strategy={args.strategy} {len(corpus)} sequences -> {args.output}")
@@ -119,17 +127,14 @@ def cmd_evaluate(args):
     queries_by_ratio = {r: build_queries(g, cfg, r) for r in ratios}
     years = sorted({q.year - 1 for qs in queries_by_ratio.values() for q in qs})
     graphs, models = {}, {}
-    sparams = SamplingParams(n=args.n, t=args.t, seed=args.seed)
     tparams = TrainParams(dim=args.dim, window=args.window, epochs=args.epochs,
                           mode=args.mode, seed=args.seed)
     embedding_needed = any(m in EMBEDDING_METHODS for m in methods)
     for y in years:
         graphs[y] = g.time_slice(y)
         if embedding_needed:
-            if args.strategy == "cocit":
-                corpus = cocitation_corpus(graphs[y], args.n, seed=args.seed)
-            else:
-                corpus = generate_walk_corpus(graphs[y], sparams, args.strategy)
+            corpus = _sample_corpus(graphs[y], args.strategy, args.n,
+                                    args.seed, t=args.t)
             models[y] = train(init_model(graphs[y], tparams), corpus, tparams)
     records, aggregates = run_experiment(
         g, cfg, graphs, models, queries_by_ratio=queries_by_ratio)
@@ -213,8 +218,7 @@ def build_parser():
 
     p = sub.add_parser("sample", help="generate a walk / co-citation corpus")
     _add_graph_args(p)
-    p.add_argument("--strategy", choices=["uniform", "biased", "cocit"],
-                   default="uniform")
+    p.add_argument("--strategy", choices=STRATEGIES, default="uniform")
     p.add_argument("--n", type=int, default=10, help="passes over the graph")
     p.add_argument("--t", type=int, default=80, help="walk length")
     p.add_argument("--p", type=float, default=1.0, help="return parameter")
@@ -259,8 +263,7 @@ def build_parser():
     p.add_argument("--max-year", type=int, default=2010)
     p.add_argument("--k-values", default="10,25,50,100")
     p.add_argument("--methods", default=",".join(ALL_METHODS))
-    p.add_argument("--strategy", choices=["uniform", "biased", "cocit"],
-                   default="cocit")
+    p.add_argument("--strategy", choices=STRATEGIES, default="cocit")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--t", type=int, default=80)
     p.add_argument("--dim", type=int, default=128)
@@ -309,7 +312,9 @@ def main(argv=None):
         args = ap.parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 1
 
 

@@ -300,12 +300,10 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
     return m
 
 
-def save_model(m: EmbeddingModel, path_in, path_out=None):
+def save_model(m: EmbeddingModel, path_in):
     """Text format: header ``N d`` then one ``<paper_id> <f_1> ... <f_d>``
-    row per node; a companion file holds W_out in the same layout."""
-    if path_out is None:
-        path_out = str(path_in) + ".out"
-    for path, mat in ((path_in, m.w_in), (path_out, m.w_out)):
+    row per node; W_out goes to ``<path_in>.out`` in the same layout."""
+    for path, mat in ((path_in, m.w_in), (f"{path_in}.out", m.w_out)):
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"{m.n} {m.dim}\n")
             for tok, row in zip(m.ids, mat):
@@ -315,10 +313,11 @@ def save_model(m: EmbeddingModel, path_in, path_out=None):
 def _load_matrix(path):
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}:1: expected header '<N> <d>'")
-        n, d = int(header[0]), int(header[1])
-        ids, rows = [], []
+        try:
+            n, d = (int(x) for x in header)
+        except ValueError:
+            raise ValueError(f"{path}:1: expected header '<N> <d>'") from None
+        ids, rows, seen = [], [], set()
         for lineno, line in enumerate(f, 2):
             parts = line.split()
             if not parts:
@@ -326,19 +325,23 @@ def _load_matrix(path):
             if len(parts) != d + 1:
                 raise ValueError(
                     f"{path}:{lineno}: expected {d + 1} fields, found {len(parts)}")
+            if parts[0] in seen:
+                raise ValueError(f"{path}:{lineno}: repeated paper id {parts[0]!r}")
+            seen.add(parts[0])
             ids.append(parts[0])
-            rows.append([float(x) for x in parts[1:]])
+            try:
+                rows.append([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         if len(ids) != n:
             raise ValueError(
                 f"{path}: header declares {n} rows, found {len(ids)}")
     return ids, np.array(rows, dtype=np.float64).reshape(len(ids), d)
 
 
-def load_model(path_in, path_out=None):
-    if path_out is None:
-        path_out = str(path_in) + ".out"
+def load_model(path_in):
     ids, w_in = _load_matrix(path_in)
-    ids_out, w_out = _load_matrix(path_out)
+    ids_out, w_out = _load_matrix(f"{path_in}.out")
     if ids != ids_out:
         raise ValueError("input/output matrix files disagree on vocabulary")
     return EmbeddingModel(ids, w_in, w_out)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import CitationGraph, YEAR_UNKNOWN
-from .baselines import PageRankParams
 from .ranking import ALL_METHODS, EMBEDDING_METHODS, METHODS, recommend
 
 log = logging.getLogger(__name__)
@@ -144,7 +143,7 @@ def check_no_time_leakage(models_or_graphs, full_graph: CitationGraph, queries):
 
 
 def run_experiment(g: CitationGraph, cfg: ExperimentConfig, graphs, models,
-                   pr_params: PageRankParams = None, queries_by_ratio=None):
+                   queries_by_ratio=None):
     """Evaluate every configured method on random-hide queries.
 
     ``graphs`` maps slice year -> CitationGraph, ``models`` maps slice year
@@ -166,23 +165,28 @@ def run_experiment(g: CitationGraph, cfg: ExperimentConfig, graphs, models,
 
     max_k = max(cfg.k_values)
     records = []
+    skipped = 0
     for ratio, queries in sorted(queries_by_ratio.items()):
         for qi, q in enumerate(queries):
             sl = graphs[q.year - 1]
             model = models.get(q.year - 1)
             seeds = [s for s in q.seeds if s in sl]
             if not seeds:
+                skipped += 1
                 continue
             for method in cfg.methods:
                 rng = (np.random.default_rng([cfg.seed, 0x72616E64, qi])
                        if "rng" in METHODS[method].needs else None)
                 ranked = recommend(method, seeds, max_k, model=model,
-                                   graph=sl, pr_params=pr_params, rng=rng)
+                                   graph=sl, rng=rng)
                 rec = {"method": method, "hidden_ratio": ratio,
                        "query_id": q.query_id, "year": q.year}
                 for k in cfg.k_values:
                     rec[f"recall@{k}"] = recall_at_k(ranked, q.hidden, k)
                 records.append(rec)
+    if skipped:
+        log.warning("%d of %d queries skipped: no seed is in their slice",
+                    skipped, sum(map(len, queries_by_ratio.values())))
 
     aggregates = []
     for ratio in sorted(queries_by_ratio):
@@ -227,8 +231,11 @@ def read_queries(path):
             parts = line.split("\t")
             if len(parts) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 fields")
-            queries.append(Query(
-                query_id=parts[0], year=int(parts[1]),
-                hidden_ratio=float(parts[2]),
-                seeds=parts[3].split(","), hidden=parts[4].split(",")))
+            try:
+                queries.append(Query(
+                    query_id=parts[0], year=int(parts[1]),
+                    hidden_ratio=float(parts[2]),
+                    seeds=parts[3].split(","), hidden=parts[4].split(",")))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return queries

@@ -43,8 +43,7 @@ class CitationGraph:
     the mapping is fixed at construction and preserved by the binary cache.
     """
 
-    def __init__(self, ids, years, edges_u, edges_w, self_loops_dropped=0,
-                 duplicate_edges_dropped=0):
+    def __init__(self, ids, years, edges_u, edges_w):
         self.ids = list(ids)
         self.n = len(self.ids)
         self.years = np.asarray(years, dtype=np.int64)
@@ -53,24 +52,18 @@ class CitationGraph:
         self._index = {tok: i for i, tok in enumerate(self.ids)}
         if len(self._index) != self.n:
             raise GraphError("duplicate paper ids")
-        self.self_loops_dropped = int(self_loops_dropped)
-        self.duplicate_edges_dropped = int(duplicate_edges_dropped)
 
         u = np.asarray(edges_u, dtype=np.int64)
         w = np.asarray(edges_w, dtype=np.int64)
         keep = u != w
-        dropped = int((~keep).sum())
-        if dropped:
-            self.self_loops_dropped += dropped
-            log.warning("dropped %d self-loop edge(s)", dropped)
+        self.self_loops_dropped = int((~keep).sum())
+        if self.self_loops_dropped:
+            log.warning("dropped %d self-loop edge(s)", self.self_loops_dropped)
             u, w = u[keep], w[keep]
-        if u.size:
-            keys = np.unique(u * np.int64(self.n) + w)
-            dups = u.size - keys.size
-            if dups:
-                self.duplicate_edges_dropped += dups
-            u = keys // self.n
-            w = keys % self.n
+        keys = np.unique(u * np.int64(self.n) + w)
+        self.duplicate_edges_dropped = u.size - keys.size
+        u = keys // self.n
+        w = keys % self.n
         self.m = int(u.size)
 
         # out-edges sorted by (citing, cited): exactly the unique-key order
@@ -79,15 +72,10 @@ class CitationGraph:
         order = np.lexsort((u, w))
         self.cit_indptr, self.cit_indices = _csr_from_pairs(w[order], u[order], self.n)
         # undirected union, deduplicated (mutual citations collapse to one)
-        if self.m:
-            du = np.concatenate([u, w])
-            dw = np.concatenate([w, u])
-            ukeys = np.unique(du * np.int64(self.n) + dw)
-            au = ukeys // self.n
-            aw = ukeys % self.n
-        else:
-            au = aw = np.zeros(0, dtype=np.int64)
-        self.adj_indptr, self.adj_indices = _csr_from_pairs(au, aw, self.n)
+        ukeys = np.unique(np.concatenate([u * np.int64(self.n) + w,
+                                          w * np.int64(self.n) + u]))
+        self.adj_indptr, self.adj_indices = _csr_from_pairs(
+            ukeys // self.n, ukeys % self.n, self.n)
 
     # -- construction -----------------------------------------------------
 
@@ -188,16 +176,10 @@ class CitationGraph:
         new_of_old = np.full(self.n, -1, dtype=np.int64)
         new_of_old[keep] = np.arange(int(keep.sum()))
         ids = [tok for tok, k in zip(self.ids, keep) if k]
-        years = self.years[keep]
-        if self.m:
-            u = np.repeat(np.arange(self.n), np.diff(self.ref_indptr))
-            w = self.ref_indices
-            emask = keep[u] & keep[w]
-            u = new_of_old[u[emask]]
-            w = new_of_old[w[emask]]
-        else:
-            u = w = np.zeros(0, dtype=np.int64)
-        return CitationGraph(ids, years, u, w)
+        u, w = self.edge_list()
+        emask = keep[u] & keep[w]
+        return CitationGraph(ids, self.years[keep], new_of_old[u[emask]],
+                             new_of_old[w[emask]])
 
     # -- serialization ----------------------------------------------------
 
@@ -207,11 +189,20 @@ class CitationGraph:
         return u, self.ref_indices.copy()
 
     def save_cache(self, path):
-        """Binary cache; round-trips ids, years and edges exactly."""
+        """Pickle-free binary cache; round-trips ids, years and edges exactly.
+
+        Ids are stored as a numpy unicode array, which drops trailing NULs,
+        so an id that would not come back unchanged is rejected.
+        """
+        ids = np.array(self.ids, dtype=str)
+        for tok, back in zip(self.ids, ids.tolist()):
+            if tok != back:
+                raise GraphError(
+                    f"paper id {tok!r} cannot be stored in a graph cache")
         u, w = self.edge_list()
         np.savez_compressed(
             path,
-            ids=np.array(self.ids, dtype=object),
+            ids=ids,
             years=self.years,
             edges_u=u,
             edges_w=w,
@@ -219,8 +210,13 @@ class CitationGraph:
 
     @classmethod
     def load_cache(cls, path):
-        with np.load(path, allow_pickle=True) as z:
-            return cls(list(z["ids"]), z["years"], z["edges_u"], z["edges_w"])
+        with np.load(path) as z:
+            try:
+                ids = z["ids"].tolist()
+            except ValueError:  # an object array, which only pickle loads
+                raise GraphError(f"{path}: graph cache holds pickled ids; "
+                                 "re-run citerec ingest") from None
+            return cls(ids, z["years"], z["edges_u"], z["edges_w"])
 
     def save_edges(self, edges_path, nodes_path=None):
         """Write the tab-separated edge file (and optional node-year file)."""

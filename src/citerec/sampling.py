@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .graph import CitationGraph
+from .graph import CitationGraph, GraphError
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class WalkCorpus:
     def load(cls, path, graph: CitationGraph):
         corpus = cls()
         with open(path, encoding="utf-8") as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
@@ -68,20 +68,12 @@ class WalkCorpus:
                             else:
                                 corpus.params[k] = v
                     continue
-                corpus.sequences.append(
-                    np.array([graph.index_of(t) for t in line.split()], dtype=np.int64))
+                try:
+                    seq = [graph.index_of(t) for t in line.split()]
+                except GraphError as exc:
+                    raise GraphError(f"{path}:{lineno}: {exc}") from None
+                corpus.sequences.append(np.array(seq, dtype=np.int64))
         return corpus
-
-
-def alpha(p, q, d_tx):
-    """Search bias for a candidate at distance d_tx from the previous node."""
-    if d_tx == 0:
-        return 1.0 / p
-    if d_tx == 1:
-        return 1.0
-    if d_tx == 2:
-        return 1.0 / q
-    raise ValueError(f"d_tx must be 0, 1 or 2, got {d_tx}")
 
 
 def transition_probs(g: CitationGraph, prev, cur, p, q):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from citerec import cli
@@ -69,6 +70,52 @@ def test_train_and_recommend(dataset, capsys):
     assert len(lines) == 11
     returned = {l.split(",")[1] for l in lines[1:]}
     assert not returned & {g.ids[0], g.ids[1]}
+
+
+def test_unknown_seed_error_has_no_key_error_quotes(dataset, capsys):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--output", str(d / "g.npz")])
+    main(["sample", "--graph", str(d / "g.npz"), "--strategy", "cocit",
+          "--n", "1", "--output", str(d / "corpus.txt")])
+    main(["train", "--graph", str(d / "g.npz"), "--corpus", str(d / "corpus.txt"),
+          "--dim", "4", "--epochs", "1", "--output", str(d / "model.txt")])
+    capsys.readouterr()
+    assert main(["recommend", "--method", "simavg", "--seeds", "ZZ",
+                 "--model", str(d / "model.txt"),
+                 "--output", str(d / "rec.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: paper id not in vocabulary: 'ZZ'\n")
+
+
+def test_train_unknown_corpus_id_names_line(dataset, capsys):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--output", str(d / "g.npz")])
+    corpus = d / "corpus.txt"
+    corpus.write_text(f"# strategy=cocit\n{g.ids[0]} {g.ids[1]}\n"
+                      f"{g.ids[2]} QQ\n")
+    capsys.readouterr()
+    assert main(["train", "--graph", str(d / "g.npz"), "--corpus", str(corpus),
+                 "--dim", "4", "--output", str(d / "model.txt")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {corpus}:3: unknown paper id: 'QQ'\n")
+
+
+def test_pickled_graph_cache_is_clean_error(tmp_path, capsys):
+    old = tmp_path / "old.npz"
+    np.savez_compressed(old, ids=np.array(["A", "B"], dtype=object),
+                        years=np.array([2000, 2001]),
+                        edges_u=np.array([1]), edges_w=np.array([0]))
+    assert main(["slice", "--graph", str(old), "--year", "2000",
+                 "--output", str(tmp_path / "s.npz")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {old}: graph cache holds pickled ids; re-run citerec ingest\n")
+
+
+def test_sample_cocit_ignores_walk_length(dataset):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--output", str(d / "g.npz")])
+    assert main(["sample", "--graph", str(d / "g.npz"), "--strategy", "cocit",
+                 "--n", "1", "--t", "0", "--output", str(d / "c.txt")]) == 0
 
 
 def test_recommend_paperrank_without_model(dataset):

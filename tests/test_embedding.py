@@ -1,6 +1,8 @@
 import logging
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,6 +347,43 @@ def test_model_load_hand_written_fixture(tmp_path):
     m = load_model(tmp_path / "m.txt")
     assert np.array_equal(m.w_in, [[1, 2], [3, 4]])
     assert np.array_equal(m.w_out, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2 2\na 1 2\nb 3 x\n", ":3: could not convert string to float: 'x'"),
+    ("2 2\na 1 2\na 3 4\n", ":3: repeated paper id 'a'"),
+    ("2 two\na 1 2\nb 3 4\n", ":1: expected header '<N> <d>'"),
+])
+def test_model_load_names_bad_line(tmp_path, text, message):
+    (tmp_path / "m.txt").write_text(text)
+    (tmp_path / "m.txt.out").write_text("2 2\na 0 0\nb 0 0\n")
+    with pytest.raises(ValueError) as err:
+        load_model(tmp_path / "m.txt")
+    assert str(err.value) == f"{tmp_path / 'm.txt'}{message}"
+
+
+# model ids are whitespace-separated tokens
+model_tokens = st.text(st.characters(exclude_categories=("Z", "C")),
+                       min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(model_tokens, min_size=1, max_size=6, unique=True),
+       st.integers(1, 4), st.data())
+def test_model_roundtrip_property(ids, dim, data):
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    shape = (len(ids), dim)
+    w_in, w_out = (np.array(data.draw(st.lists(values, min_size=shape[0] * dim,
+                                               max_size=shape[0] * dim)),
+                            dtype=np.float64).reshape(shape)
+                   for _ in range(2))
+    with tempfile.TemporaryDirectory() as d:
+        save_model(EmbeddingModel(ids, w_in, w_out), Path(d) / "m.txt")
+        m = load_model(Path(d) / "m.txt")
+    assert m.ids == ids
+    # the text format keeps 9 significant digits
+    np.testing.assert_allclose(m.w_in, w_in, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(m.w_out, w_out, rtol=1e-8, atol=0)
 
 
 def test_train_params_validation():

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citerec.graph import YEAR_UNKNOWN, CitationGraph
 from citerec.embedding import TrainParams, init_model
@@ -223,6 +227,26 @@ def test_run_experiment_bit_reproducible(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+def test_run_experiment_counts_skipped_queries(caplog):
+    g = eval_graph()
+    cfg = eval_config(methods=("cf",), n_queries=20)
+    queries_by_ratio, graphs, models = _slices_and_models(g, cfg)
+    queries = queries_by_ratio[0.1]
+    year = queries[0].year - 1
+    victims = [q for q in queries if q.year - 1 == year]
+    # the slice for `year` loses every seed of the queries it serves
+    seeds = {s for q in victims for s in q.seeds}
+    graphs[year] = CitationGraph.from_edges([], years={
+        t: g.year_of(t) for t in graphs[year].ids if t not in seeds})
+    with caplog.at_level("WARNING", logger="citerec.evaluation"):
+        records, _ = run_experiment(g, cfg, graphs, models,
+                                    queries_by_ratio=queries_by_ratio)
+    assert len(records) == len(queries) - len(victims)
+    assert [r.message for r in caplog.records] == [
+        f"{len(victims)} of {len(queries)} queries skipped: "
+        "no seed is in their slice"]
+
+
 def test_no_time_leakage_check():
     g = eval_graph()
     cfg = eval_config(n_queries=10)
@@ -269,6 +293,47 @@ def test_query_file_roundtrip(tmp_path):
             for q in loaded] == \
            [(q.query_id, q.year, q.seeds, q.hidden, q.hidden_ratio)
             for q in queries]
+
+
+@pytest.mark.parametrize("line,message", [
+    ("q2\t20x7\t0.1\ta\tb", "invalid literal for int() with base 10: '20x7'"),
+    ("q2\t2007\tten\ta\tb", "could not convert string to float: 'ten'"),
+    ("q2\t2007\t0.1\ta,b\tb", "seed and hidden sets overlap"),
+])
+def test_read_queries_names_bad_line(tmp_path, line, message):
+    path = tmp_path / "q.tsv"
+    path.write_text(f"# query_id\tyear\thidden_ratio\tseeds\thidden\n"
+                    f"q1\t2006\t0.1\ta\tb\n{line}\n")
+    with pytest.raises(ValueError) as err:
+        read_queries(path)
+    assert str(err.value) == f"{path}:3: {message}"
+
+
+# query files separate fields by tabs and ids by commas; '#' opens a comment
+query_ids = st.text(st.characters(exclude_categories=("C",),
+                                  exclude_characters=","), max_size=5)
+
+
+@st.composite
+def query_lists(draw):
+    queries = []
+    for _ in range(draw(st.integers(0, 5))):
+        ids = draw(st.lists(query_ids, min_size=2, max_size=6, unique=True))
+        n_seeds = draw(st.integers(1, len(ids) - 1))
+        queries.append(Query(
+            query_id=draw(query_ids.filter(lambda t: not t.startswith("#"))),
+            year=draw(st.integers(-10**6, 10**6)),
+            seeds=ids[:n_seeds], hidden=ids[n_seeds:],
+            hidden_ratio=draw(st.integers(1, 999)) / 1000))
+    return queries
+
+
+@settings(max_examples=100, deadline=None)
+@given(query_lists())
+def test_query_file_roundtrip_property(queries):
+    with tempfile.TemporaryDirectory() as d:
+        write_queries(Path(d) / "q.tsv", queries)
+        assert read_queries(Path(d) / "q.tsv") == queries
 
 
 def test_report_format(tmp_path):

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citerec.graph import (CitationGraph, GraphError, GraphFormatError,
                            YEAR_UNKNOWN, load_graph)
@@ -135,6 +139,44 @@ def test_cache_roundtrip(tmp_path):
     assert np.array_equal(g2.years, g.years)
     assert np.array_equal(g2.ref_indptr, g.ref_indptr)
     assert np.array_equal(g2.ref_indices, g.ref_indices)
+
+
+@st.composite
+def cache_graphs(draw):
+    """Random ids (any text but a trailing NUL), years with some unknown,
+    and edges that may repeat or loop."""
+    ids = draw(st.lists(st.text(max_size=8).filter(lambda t: not t.endswith("\x00")),
+                        unique=True, max_size=12))
+    n = len(ids)
+    years = draw(st.lists(st.one_of(st.just(YEAR_UNKNOWN), st.integers(1900, 2030)),
+                          min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=30)) if n else []
+    return CitationGraph(ids, years, [u for u, _ in edges], [w for _, w in edges])
+
+
+@settings(max_examples=100, deadline=None)
+@given(cache_graphs())
+def test_cache_roundtrip_property(g):
+    with tempfile.TemporaryDirectory() as d:
+        g.save_cache(Path(d) / "g.npz")
+        g2 = CitationGraph.load_cache(Path(d) / "g.npz")
+    assert g2.ids == g.ids and all(type(t) is str for t in g2.ids)
+    assert g2.m == g.m
+    for attr in ("years", "ref_indptr", "ref_indices", "cit_indptr",
+                 "cit_indices", "adj_indptr", "adj_indices"):
+        assert np.array_equal(getattr(g2, attr), getattr(g, attr)), attr
+
+
+def test_cache_rejects_id_ending_in_nul(tmp_path):
+    # numpy unicode arrays drop trailing NULs, so 'a\x00' would load as 'a'
+    g = CitationGraph.from_edges([("a\x00", "b"), ("a\x00b", "b")])
+    with pytest.raises(GraphError, match="cannot be stored in a graph cache"):
+        g.save_cache(tmp_path / "g.npz")
+    assert not (tmp_path / "g.npz").exists()
+    inner = CitationGraph.from_edges([("a\x00b", "b")])
+    inner.save_cache(tmp_path / "inner.npz")
+    assert CitationGraph.load_cache(tmp_path / "inner.npz").ids == ["a\x00b", "b"]
 
 
 def test_edge_file_roundtrip(tmp_path):

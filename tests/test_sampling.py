@@ -1,24 +1,18 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from citerec.graph import CitationGraph
-from citerec.sampling import (SamplingParams, WalkCorpus, alpha, biased_walk,
+from citerec.graph import YEAR_UNKNOWN, CitationGraph, GraphError
+from citerec.sampling import (SamplingParams, WalkCorpus, biased_walk,
                               cocitation_corpus, generate_walk_corpus,
                               random_walk, transition_probs, _draw)
 
 
 def star_graph(leaves=4):
     return CitationGraph.from_edges([("C", f"L{i}") for i in range(leaves)])
-
-
-def test_alpha_cases():
-    assert alpha(1, 1, 0) == 1 and alpha(1, 1, 1) == 1 and alpha(1, 1, 2) == 1
-    assert alpha(2, 0.5, 0) == 0.5
-    assert alpha(2, 0.5, 1) == 1
-    assert alpha(2, 0.5, 2) == 2
-    assert alpha(4, 4, 0) == 0.25 and alpha(4, 4, 2) == 0.25
-    with pytest.raises(ValueError):
-        alpha(1, 1, 3)
 
 
 def test_sampling_params_validation():
@@ -169,6 +163,45 @@ def test_corpus_save_load_roundtrip(tmp_path):
     assert len(loaded) == len(corpus)
     for a, b in zip(loaded.sequences, corpus.sequences):
         assert np.array_equal(a, b)
+
+
+def test_corpus_load_names_line_of_unknown_id(tmp_path):
+    g = triangle_with_pendant()
+    path = tmp_path / "c.txt"
+    path.write_text(f"# strategy=cocit n=1\n{g.ids[0]} {g.ids[1]}\n\n"
+                    f"{g.ids[1]} QQ\n")
+    with pytest.raises(GraphError) as err:
+        WalkCorpus.load(path, g)
+    assert str(err.value) == f"{path}:4: unknown paper id: 'QQ'"
+
+
+# corpus tokens are whitespace-separated, and a line opening with '#' is
+# the provenance header
+corpus_tokens = st.text(st.characters(exclude_categories=("Z", "C")),
+                        min_size=1, max_size=6).filter(lambda t: t[0] != "#")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(corpus_tokens, min_size=1, max_size=10, unique=True),
+       st.data())
+def test_corpus_roundtrip_property(ids, data):
+    g = CitationGraph(ids, [YEAR_UNKNOWN] * len(ids), [], [])
+    seqs = data.draw(st.lists(
+        st.lists(st.integers(0, len(ids) - 1), min_size=1, max_size=8),
+        max_size=6))
+    params = data.draw(st.dictionaries(
+        st.sampled_from(["n", "t", "p", "q", "seed"]), st.integers(0, 99)))
+    corpus = WalkCorpus([np.array(s, dtype=np.int64) for s in seqs],
+                        data.draw(st.sampled_from(["uniform", "biased", "cocit"])),
+                        params)
+    with tempfile.TemporaryDirectory() as d:
+        corpus.save(Path(d) / "c.txt", g)
+        loaded = WalkCorpus.load(Path(d) / "c.txt", g)
+    assert loaded.strategy == corpus.strategy
+    # header values come back as text
+    assert loaded.params == {k: str(v) for k, v in params.items()}
+    assert [s.tolist() for s in loaded.sequences] == seqs
+    assert all(s.dtype == np.int64 for s in loaded.sequences)
 
 
 def test_draw_respects_distribution():
