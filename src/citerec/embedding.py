@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CitationGraph
+from .graph import CitationGraph, GraphError, is_token
 from .sampling import WalkCorpus
 
 
@@ -302,12 +302,18 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
 
 def save_model(m: EmbeddingModel, path_in):
     """Text format: header ``N d`` then one ``<paper_id> <f_1> ... <f_d>``
-    row per node; W_out goes to ``<path_in>.out`` in the same layout."""
+    row per node; W_out goes to ``<path_in>.out`` in the same layout.  An
+    id holding whitespace raises GraphError before anything is written."""
+    for tok in m.ids:
+        if not is_token(tok):
+            raise GraphError(f"paper id {tok!r} holds whitespace and cannot "
+                             "be written to a model file")
+    fmt = " ".join(["%.9g"] * m.dim)
     for path, mat in ((path_in, m.w_in), (f"{path_in}.out", m.w_out)):
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"{m.n} {m.dim}\n")
             for tok, row in zip(m.ids, mat):
-                f.write(tok + " " + " ".join(f"{x:.9g}" for x in row) + "\n")
+                f.write(tok + " " + fmt % tuple(row.tolist()) + "\n")
 
 
 def _load_matrix(path):

@@ -12,6 +12,7 @@ Graphs are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import logging
+import zipfile
 
 import numpy as np
 
@@ -26,6 +27,13 @@ class GraphFormatError(ValueError):
 
 class GraphError(ValueError):
     """Invalid graph operation (unknown node, missing metadata, ...)."""
+
+
+def is_token(tok):
+    """True when ``tok`` reads back unchanged from a whitespace-separated
+    text line, as the corpus and model files need: non-empty and free of
+    whitespace."""
+    return tok.split() == [tok]
 
 
 def _csr_from_pairs(src, dst, n):
@@ -210,13 +218,16 @@ class CitationGraph:
 
     @classmethod
     def load_cache(cls, path):
-        with np.load(path) as z:
-            try:
-                ids = z["ids"].tolist()
-            except ValueError:  # an object array, which only pickle loads
-                raise GraphError(f"{path}: graph cache holds pickled ids; "
-                                 "re-run citerec ingest") from None
-            return cls(ids, z["years"], z["edges_u"], z["edges_w"])
+        try:
+            with np.load(path) as z:
+                try:
+                    ids = z["ids"].tolist()
+                except ValueError:  # an object array, which only pickle loads
+                    raise GraphError(f"{path}: graph cache holds pickled ids; "
+                                     "re-run citerec ingest") from None
+                return cls(ids, z["years"], z["edges_u"], z["edges_w"])
+        except (zipfile.BadZipFile, EOFError):  # truncated or not a zip
+            raise GraphError(f"{path}: not a citerec graph cache") from None
 
     def save_edges(self, edges_path, nodes_path=None):
         """Write the tab-separated edge file (and optional node-year file)."""

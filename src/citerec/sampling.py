@@ -1,9 +1,11 @@
 """Neighborhood construction: uniform walks, second-order biased walks and
 co-citation reference lists.
 
-Every corpus is a pure function of (graph, parameters, seed).  The RNG for
-each individual walk is derived from (seed, pass index, root index), so the
-same corpus comes out regardless of how the work is scheduled.
+Every corpus is a pure function of (graph, parameters, seed).  A walk
+corpus draws each pass from one RNG stream derived from (seed, pass index):
+all walkers of the pass step together, one array operation per step, so the
+stream is consumed in a fixed order.  A co-citation line draws from its own
+stream, derived from (seed, pass index, node index).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .graph import CitationGraph, GraphError
+from .graph import CitationGraph, GraphError, is_token
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,21 @@ class WalkCorpus:
         return len(self.sequences)
 
     def save(self, path, graph: CitationGraph):
+        """Raises GraphError, before writing, for an id that would not read
+        back: one holding whitespace, or one starting a line with '#'."""
+        spaced = {i for i, tok in enumerate(graph.ids) if not is_token(tok)}
+        hashed = {i for i, tok in enumerate(graph.ids) if tok.startswith("#")}
+        # only a graph with such ids needs the per-line scan
+        for seq in self.sequences if spaced or hashed else ():
+            seq = np.asarray(seq).tolist()
+            if seq and seq[0] in hashed:
+                raise GraphError(f"paper id {graph.ids[seq[0]]!r} starts with "
+                                 "'#' and cannot start a corpus line")
+            bad = spaced.intersection(seq)
+            if bad:
+                raise GraphError(f"paper id {graph.ids[min(bad)]!r} holds "
+                                 "whitespace and cannot be written to a "
+                                 "corpus file")
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"# strategy={self.strategy}")
             for k, v in self.params.items():
@@ -83,21 +100,23 @@ def transition_probs(g: CitationGraph, prev, cur, p, q):
     resolved locally: 0 iff the candidate is prev itself, 1 iff it is
     adjacent to prev, else 2.
     """
-    nbrs = g.adj(cur)
+    indptr, indices = g.adj_indptr, g.adj_indices
+    nbrs = indices[indptr[cur]:indptr[cur + 1]]
     if nbrs.size == 0:
         return nbrs, np.zeros(0)
     w = np.full(nbrs.size, 1.0 / q)
-    prev_adj = g.adj(prev)
-    pos = np.searchsorted(prev_adj, nbrs)
-    pos[pos == prev_adj.size] = max(prev_adj.size - 1, 0)
+    prev_adj = indices[indptr[prev]:indptr[prev + 1]]
     if prev_adj.size:
+        pos = prev_adj.searchsorted(nbrs)
+        np.minimum(pos, prev_adj.size - 1, out=pos)
         w[prev_adj[pos] == nbrs] = 1.0
     w[nbrs == prev] = 1.0 / p
-    return nbrs, w / w.sum()
+    w /= w.sum()
+    return nbrs, w
 
 
 def _draw(rng, probs):
-    return int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    return int(probs.cumsum().searchsorted(rng.random(), "right"))
 
 
 def random_walk(g: CitationGraph, v, t, rng):
@@ -117,57 +136,79 @@ def random_walk(g: CitationGraph, v, t, rng):
     return walk
 
 
-def biased_walk(g: CitationGraph, v, params: SamplingParams, rng):
-    """Second-order (p, q)-biased walk rooted at node index v.
-
-    The first step is uniform over Adj(v); later steps follow the
-    transition law of :func:`transition_probs`.
-    """
-    walk = np.empty(params.t + 1, dtype=np.int64)
-    walk[0] = v
-    nbrs = g.adj(v)
-    if nbrs.size == 0:
-        return walk[:1]
-    walk[1] = nbrs[rng.integers(nbrs.size)]
-    for step in range(2, params.t + 1):
-        nbrs, probs = transition_probs(g, walk[step - 2], walk[step - 1],
-                                       params.p, params.q)
-        if nbrs.size == 0:
-            return walk[:step]
-        walk[step] = nbrs[_draw(rng, probs)]
-    return walk
-
-
 def _walk_rng(seed, pass_idx, root):
     return np.random.default_rng([seed, pass_idx, root])
 
 
-_ORDER_TAG = 0x6F726465  # keeps the per-pass shuffle stream apart from walk streams
+# tags keep the per-pass shuffle and walk streams apart from the per-node ones
+_ORDER_TAG = 0x6F726465
+_PASS_TAG = 0x77616C6B
 
 
 def _order_rng(seed, pass_idx):
     return np.random.default_rng([seed, _ORDER_TAG, pass_idx])
 
 
+def _pass_rng(seed, pass_idx):
+    return np.random.default_rng([seed, _PASS_TAG, pass_idx])
+
+
 def generate_walk_corpus(g: CitationGraph, params: SamplingParams,
                          strategy="uniform"):
     """n passes over the graph, one walk rooted at every node per pass.
 
-    Node order is reshuffled each pass.  ``strategy`` selects the uniform or
-    the (p, q)-biased step law.
+    Node order is reshuffled each pass, and a pass's walks come out in that
+    order; an isolated root gives a one-node walk.  ``strategy`` selects the
+    uniform or the (p, q)-biased step law.  All walkers of a pass advance
+    together.  A biased step after the first is drawn by rejection
+    (KnightKing): propose x uniform over Adj(cur) and accept it with
+    probability alpha(x) / max(1/p, 1, 1/q), where alpha is the unnormalised
+    weight of :func:`transition_probs`; walkers that reject draw again.
     """
     if strategy not in ("uniform", "biased"):
         raise ValueError(f"unknown walk strategy: {strategy!r}")
     corpus = WalkCorpus(strategy=strategy, params=asdict(params))
+    n, indptr, indices = g.n, g.adj_indptr, g.adj_indices
+    deg = g.degrees
+    n_live = int(np.count_nonzero(deg))
+    # u*n + w for every w in Adj(u): sorted, as CSR rows are, so adjacency
+    # is one searchsorted
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, deg) + indices
+    bound = max(1 / params.p, 1.0, 1 / params.q)
+
+    def uniform_step(cur, rng):
+        return indices[indptr[cur] + rng.integers(deg[cur])]
+
+    def biased_step(prev, cur, rng):
+        nxt = np.empty_like(cur)
+        todo = np.arange(cur.size)
+        while todo.size:
+            x = uniform_step(cur[todo], rng)
+            pv = prev[todo]
+            key = pv * n + x
+            hit = keys[np.minimum(keys.searchsorted(key), keys.size - 1)] == key
+            alpha = np.where(x == pv, 1 / params.p,
+                             np.where(hit, 1.0, 1 / params.q))
+            ok = rng.random(todo.size) * bound < alpha
+            nxt[todo[ok]] = x[ok]
+            todo = todo[~ok]
+        return nxt
+
     for it in range(params.n):
-        order = _order_rng(params.seed, it).permutation(g.n)
-        for root in order:
-            rng = _walk_rng(params.seed, it, int(root))
-            if strategy == "uniform":
-                walk = random_walk(g, int(root), params.t, rng)
+        order = _order_rng(params.seed, it).permutation(n)
+        rng = _pass_rng(params.seed, it)
+        walks = np.empty((n_live, params.t + 1), dtype=np.int64)
+        walks[:, 0] = order[deg[order] > 0]
+        for step in range(1, params.t + 1):
+            if strategy == "biased" and step >= 2:
+                walks[:, step] = biased_step(walks[:, step - 2],
+                                             walks[:, step - 1], rng)
             else:
-                walk = biased_walk(g, int(root), params, rng)
-            corpus.sequences.append(walk)
+                walks[:, step] = uniform_step(walks[:, step - 1], rng)
+        rows = iter(walks)
+        corpus.sequences.extend(
+            next(rows) if deg[v] else np.array([v], dtype=np.int64)
+            for v in order.tolist())
     return corpus
 
 

@@ -111,6 +111,55 @@ def test_pickled_graph_cache_is_clean_error(tmp_path, capsys):
         f"error: {old}: graph cache holds pickled ids; re-run citerec ingest\n")
 
 
+def test_truncated_graph_cache_is_clean_error(dataset, capsys):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--nodes", str(nodes),
+          "--output", str(d / "g.npz")])
+    cut = d / "cut.npz"
+    cut.write_bytes((d / "g.npz").read_bytes()[:100])
+    capsys.readouterr()
+    assert main(["slice", "--graph", str(cut), "--year", "2005",
+                 "--output", str(d / "s.npz")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cut}: not a citerec graph cache\n")
+
+
+def ingest_edges(d, lines):
+    (d / "edges.tsv").write_text("".join(f"{u}\t{w}\n" for u, w in lines))
+    assert main(["ingest", "--edges", str(d / "edges.tsv"),
+                 "--output", str(d / "g.npz")]) == 0
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([("x", "a b"), ("x", "c")],
+     "paper id 'a b' holds whitespace and cannot be written to a corpus file"),
+    ([("x", "#e")],
+     "paper id '#e' starts with '#' and cannot start a corpus line"),
+])
+def test_sample_rejects_id_that_cannot_round_trip(tmp_path, capsys, edges,
+                                                  message):
+    ingest_edges(tmp_path, edges)
+    capsys.readouterr()
+    assert main(["sample", "--graph", str(tmp_path / "g.npz"),
+                 "--strategy", "cocit", "--n", "1",
+                 "--output", str(tmp_path / "c.txt")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "c.txt").exists()
+
+
+def test_train_rejects_model_id_with_whitespace(tmp_path, capsys):
+    ingest_edges(tmp_path, [("x", "c"), ("x", "d"), ("a b", "c")])
+    (tmp_path / "c.txt").write_text("# strategy=cocit\nc d\nd c\n")
+    capsys.readouterr()
+    assert main(["train", "--graph", str(tmp_path / "g.npz"),
+                 "--corpus", str(tmp_path / "c.txt"), "--dim", "4",
+                 "--epochs", "1", "--output", str(tmp_path / "m.txt")]) == 1
+    assert capsys.readouterr().err == (
+        "error: paper id 'a b' holds whitespace and cannot be written to a "
+        "model file\n")
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_sample_cocit_ignores_walk_length(dataset):
     g, edges, nodes, d = dataset
     main(["ingest", "--edges", str(edges), "--output", str(d / "g.npz")])

@@ -334,6 +334,19 @@ def test_model_save_load_roundtrip(tmp_path):
     assert np.abs(m2.w_out - m.w_out).max() <= 1e-6
 
 
+def test_model_file_bytes(tmp_path):
+    # each value in 9 significant digits, as f"{x:.9g}" writes it
+    w_in = np.array([[0.1, -0.0, 1e-300], [123456789012.0, -2.5, 7.0]])
+    w_out = np.array([[1 / 3, 5e-324, -1e22], [0.0, 2.0**-40, 1e16]])
+    save_model(EmbeddingModel(["a", "b"], w_in, w_out), tmp_path / "m.txt")
+    for path, mat in ((tmp_path / "m.txt", w_in),
+                      (tmp_path / "m.txt.out", w_out)):
+        want = "2 3\n" + "".join(
+            tok + " " + " ".join(f"{x:.9g}" for x in row) + "\n"
+            for tok, row in zip("ab", mat))
+        assert path.read_text() == want
+
+
 def test_model_load_truncated_errors(tmp_path):
     (tmp_path / "m.txt").write_text("3 2\na 0.1 0.2\n")
     (tmp_path / "m.txt.out").write_text("3 2\na 0 0\n")

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from citerec.graph import (CitationGraph, GraphError, GraphFormatError,
                            YEAR_UNKNOWN, load_graph)
@@ -104,6 +104,60 @@ def test_edge_consistency_invariant():
     assert sum(len(g.refs(i)) for i in range(g.n)) == g.m
 
 
+@st.composite
+def years_and_edges(draw):
+    """Node count, per-node years (some unknown) and index edges that may
+    repeat, loop or run both ways."""
+    n = draw(st.integers(0, 12))
+    years = draw(st.lists(st.one_of(st.just(YEAR_UNKNOWN), st.integers(2000, 2006)),
+                          min_size=n, max_size=n))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=40)) if n else []
+    return n, years, edges
+
+
+def graph_of(n, years, edges):
+    return CitationGraph([f"n{i}" for i in range(n)], years,
+                         [u for u, _ in edges], [w for _, w in edges])
+
+
+@settings(max_examples=100, deadline=None)
+@given(years_and_edges())
+def test_csr_invariants_property(data):
+    n, years, edges = data
+    g = graph_of(n, years, edges)
+    want = {(u, w) for u, w in edges if u != w}
+    assert g.m == len(want)
+    for indptr, indices in ((g.ref_indptr, g.ref_indices),
+                            (g.cit_indptr, g.cit_indices),
+                            (g.adj_indptr, g.adj_indices)):
+        assert indptr.shape == (n + 1,) and indptr[0] == 0
+        assert indptr[-1] == indices.size and np.all(np.diff(indptr) >= 0)
+    for v in range(n):
+        refs = {w for u, w in want if u == v}
+        cits = {u for u, w in want if w == v}
+        # each row is sorted without repeats: Ref, Cit and Adj = Ref ∪ Cit
+        assert g.refs(v).tolist() == sorted(refs)
+        assert g.cits(v).tolist() == sorted(cits)
+        assert g.adj(v).tolist() == sorted(refs | cits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(years_and_edges(), st.integers(1999, 2007))
+def test_time_slice_idempotent_property(data, year):
+    g = graph_of(*data)
+    assume(g.has_years)
+    once = g.time_slice(year)
+    assert once.ids == [tok for tok, y in zip(g.ids, g.years)
+                        if y != YEAR_UNKNOWN and y <= year]
+    assume(once.n > 0)
+    twice = once.time_slice(year)
+    assert twice.ids == once.ids and twice.m == once.m
+    for attr in ("years", "ref_indptr", "ref_indices", "cit_indptr",
+                 "cit_indices", "adj_indptr", "adj_indices"):
+        assert np.array_equal(getattr(twice, attr), getattr(once, attr)), attr
+
+
 def test_file_load_and_parse_errors(tmp_path):
     edges = tmp_path / "edges.tsv"
     nodes = tmp_path / "nodes.tsv"
@@ -177,6 +231,17 @@ def test_cache_rejects_id_ending_in_nul(tmp_path):
     inner = CitationGraph.from_edges([("a\x00b", "b")])
     inner.save_cache(tmp_path / "inner.npz")
     assert CitationGraph.load_cache(tmp_path / "inner.npz").ids == ["a\x00b", "b"]
+
+
+@pytest.mark.parametrize("size", [0, 100])
+def test_truncated_cache_is_graph_error(tmp_path, size):
+    g = CitationGraph.from_edges([("A", "B")], years={"A": 2000, "B": 1999})
+    g.save_cache(tmp_path / "g.npz")
+    cut = tmp_path / "cut.npz"
+    cut.write_bytes((tmp_path / "g.npz").read_bytes()[:size])
+    with pytest.raises(GraphError) as err:
+        CitationGraph.load_cache(cut)
+    assert str(err.value) == f"{cut}: not a citerec graph cache"
 
 
 def test_edge_file_roundtrip(tmp_path):

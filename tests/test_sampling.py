@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citerec.graph import YEAR_UNKNOWN, CitationGraph, GraphError
-from citerec.sampling import (SamplingParams, WalkCorpus, biased_walk,
-                              cocitation_corpus, generate_walk_corpus,
-                              random_walk, transition_probs, _draw)
+from citerec.sampling import (SamplingParams, WalkCorpus, cocitation_corpus,
+                              generate_walk_corpus, random_walk,
+                              transition_probs, _draw, _order_rng)
 
 
 def star_graph(leaves=4):
@@ -85,12 +85,56 @@ def test_p1_q1_matches_uniform_law():
 
 
 def test_biased_walk_shape_and_adjacency():
-    g = triangle_with_pendant()
-    params = SamplingParams(n=1, t=20, p=0.5, q=2.0, seed=1)
-    walk = biased_walk(g, g.index_of("A"), params, np.random.default_rng(5))
-    assert walk[0] == g.index_of("A")
-    for u, w in zip(walk, walk[1:]):
-        assert int(w) in g.adj(int(u))
+    g = CitationGraph.from_edges(
+        [("A", "B"), ("B", "C"), ("C", "A"), ("B", "D")], years={"Z": 2000})
+    params = SamplingParams(n=3, t=20, p=0.5, q=2.0, seed=1)
+    for strategy in ("uniform", "biased"):
+        corpus = generate_walk_corpus(g, params, strategy)
+        assert len(corpus) == 3 * g.n
+        for walk in corpus.sequences:
+            isolated = g.degree(int(walk[0])) == 0
+            assert len(walk) == (1 if isolated else params.t + 1)
+            for u, w in zip(walk, walk[1:]):
+                assert int(w) in g.adj(int(u))
+
+
+def kite_graph():
+    """Triangles ABC and DEF joined by B-D and C-E, a pendant G on A and an
+    isolated Z: states with return, adjacent and far candidates."""
+    return CitationGraph.from_edges(
+        [("A", "B"), ("B", "C"), ("C", "A"), ("B", "D"), ("D", "E"),
+         ("E", "F"), ("F", "D"), ("C", "E"), ("G", "A")], years={"Z": 2000})
+
+
+@pytest.mark.parametrize("p,q", [(1.0, 1.0), (0.25, 4.0), (4.0, 0.25),
+                                 (0.5, 2.0)])
+def test_lockstep_walk_law_matches_transition_probs(p, q):
+    g = kite_graph()
+    corpus = generate_walk_corpus(
+        g, SamplingParams(n=1500, t=4, p=p, q=q, seed=5), "biased")
+    first = np.zeros((g.n, g.n))
+    after = {}
+    for walk in corpus.sequences:
+        walk = walk.tolist()
+        if len(walk) > 1:
+            first[walk[0], walk[1]] += 1
+        for prev, cur, nxt in zip(walk, walk[1:], walk[2:]):
+            after.setdefault((prev, cur), np.zeros(g.n))[nxt] += 1
+    laws = [(first[v], g.adj(v), np.full(g.degree(v), 1 / g.degree(v)))
+            for v in range(g.n) if g.degree(v)]
+    laws += [(counts, *transition_probs(g, prev, cur, p, q))
+             for (prev, cur), counts in after.items()]
+    # every (prev, cur) state the walks can reach was visited
+    assert len(after) == g.degrees.sum()
+    worst = 0.0
+    for counts, nbrs, pi in laws:
+        total = counts.sum()
+        assert counts[nbrs].sum() == total   # steps stay on Adj(cur)
+        inner = (pi > 0) & (pi < 1)
+        z = (counts[nbrs] - total * pi)[inner] / np.sqrt(
+            total * pi * (1 - pi))[inner]
+        worst = max(worst, np.abs(z).max(initial=0.0))
+    assert worst < 4.5, worst
 
 
 def test_corpus_counts_and_roots():
@@ -99,10 +143,11 @@ def test_corpus_counts_and_roots():
     corpus = generate_walk_corpus(g, params)
     assert len(corpus) == 3 * g.n
     assert all(len(seq) <= params.t + 1 for seq in corpus.sequences)
-    # each pass roots one walk at every node
+    # each pass roots one walk at every node, in that pass's shuffled order
     for it in range(3):
-        roots = sorted(seq[0] for seq in corpus.sequences[it * g.n:(it + 1) * g.n])
-        assert roots == list(range(g.n))
+        roots = [int(seq[0]) for seq in corpus.sequences[it * g.n:(it + 1) * g.n]]
+        assert roots == _order_rng(params.seed, it).permutation(g.n).tolist()
+        assert sorted(roots) == list(range(g.n))
 
 
 def test_corpus_deterministic_files(tmp_path):
@@ -111,6 +156,19 @@ def test_corpus_deterministic_files(tmp_path):
     for name in ("a", "b"):
         generate_walk_corpus(g, params, "biased").save(tmp_path / name, g)
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "biased"])
+def test_walk_corpus_identical_across_calls(strategy):
+    g = kite_graph()
+    params = SamplingParams(n=3, t=15, p=0.5, q=2.0, seed=21)
+    a = generate_walk_corpus(g, params, strategy)
+    b = generate_walk_corpus(g, params, strategy)
+    assert [s.tolist() for s in a.sequences] == [s.tolist() for s in b.sequences]
+    assert all(s.dtype == np.int64 for s in a.sequences)
+    c = generate_walk_corpus(g, SamplingParams(n=3, t=15, p=0.5, q=2.0,
+                                               seed=22), strategy)
+    assert [s.tolist() for s in a.sequences] != [s.tolist() for s in c.sequences]
 
 
 def test_empty_graph_corpus():
