@@ -218,6 +218,9 @@ class CitationGraph:
 
     @classmethod
     def load_cache(cls, path):
+        with open(path, "rb") as f:  # a missing file stays an OSError
+            if not zipfile.is_zipfile(f):  # truncated, or not an .npz at all
+                raise GraphError(f"{path}: not a citerec graph cache")
         try:
             with np.load(path) as z:
                 try:
@@ -226,7 +229,8 @@ class CitationGraph:
                     raise GraphError(f"{path}: graph cache holds pickled ids; "
                                      "re-run citerec ingest") from None
                 return cls(ids, z["years"], z["edges_u"], z["edges_w"])
-        except (zipfile.BadZipFile, EOFError):  # truncated or not a zip
+        # a damaged member, or an .npz without the cache's arrays
+        except (zipfile.BadZipFile, EOFError, KeyError):
             raise GraphError(f"{path}: not a citerec graph cache") from None
 
     def save_edges(self, edges_path, nodes_path=None):

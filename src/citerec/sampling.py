@@ -10,6 +10,7 @@ stream, derived from (seed, pass index, node index).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -28,8 +29,10 @@ class SamplingParams:
     def __post_init__(self):
         if self.n < 1 or self.t < 1:
             raise ValueError("n and t must be >= 1")
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError("p and q must be > 0")
+        # 1/p and 1/q must be finite too: they are the step weights
+        if not all(0 < v < math.inf and 1 / v < math.inf
+                   for v in (self.p, self.q)):
+            raise ValueError("p and q must be > 0 and finite")
 
 
 @dataclass
@@ -143,6 +146,8 @@ def _walk_rng(seed, pass_idx, root):
 # tags keep the per-pass shuffle and walk streams apart from the per-node ones
 _ORDER_TAG = 0x6F726465
 _PASS_TAG = 0x77616C6B
+# a biased step gives up rejection after this many rounds (see below)
+_REJECTION_ROUNDS = 32
 
 
 def _order_rng(seed, pass_idx):
@@ -164,6 +169,10 @@ def generate_walk_corpus(g: CitationGraph, params: SamplingParams,
     (KnightKing): propose x uniform over Adj(cur) and accept it with
     probability alpha(x) / max(1/p, 1, 1/q), where alpha is the unnormalised
     weight of :func:`transition_probs`; walkers that reject draw again.
+    A walker still rejecting after _REJECTION_ROUNDS rounds draws from
+    :func:`transition_probs` itself, so an extreme p or q, whose acceptance
+    rate at some states is tiny, costs a bounded number of rounds.  A draw
+    accepted in any round already follows that law, so the mix stays exact.
     """
     if strategy not in ("uniform", "biased"):
         raise ValueError(f"unknown walk strategy: {strategy!r}")
@@ -182,7 +191,9 @@ def generate_walk_corpus(g: CitationGraph, params: SamplingParams,
     def biased_step(prev, cur, rng):
         nxt = np.empty_like(cur)
         todo = np.arange(cur.size)
-        while todo.size:
+        for _ in range(_REJECTION_ROUNDS):
+            if not todo.size:
+                return nxt
             x = uniform_step(cur[todo], rng)
             pv = prev[todo]
             key = pv * n + x
@@ -192,6 +203,10 @@ def generate_walk_corpus(g: CitationGraph, params: SamplingParams,
             ok = rng.random(todo.size) * bound < alpha
             nxt[todo[ok]] = x[ok]
             todo = todo[~ok]
+        for i in todo.tolist():
+            nbrs, probs = transition_probs(g, prev[i], cur[i],
+                                           params.p, params.q)
+            nxt[i] = nbrs[_draw(rng, probs)]
         return nxt
 
     for it in range(params.n):

@@ -233,7 +233,7 @@ def test_cache_rejects_id_ending_in_nul(tmp_path):
     assert CitationGraph.load_cache(tmp_path / "inner.npz").ids == ["a\x00b", "b"]
 
 
-@pytest.mark.parametrize("size", [0, 100])
+@pytest.mark.parametrize("size", [0, 2, 100])
 def test_truncated_cache_is_graph_error(tmp_path, size):
     g = CitationGraph.from_edges([("A", "B")], years={"A": 2000, "B": 1999})
     g.save_cache(tmp_path / "g.npz")
@@ -242,6 +242,19 @@ def test_truncated_cache_is_graph_error(tmp_path, size):
     with pytest.raises(GraphError) as err:
         CitationGraph.load_cache(cut)
     assert str(err.value) == f"{cut}: not a citerec graph cache"
+
+
+def test_foreign_file_is_not_a_graph_cache(tmp_path):
+    text = tmp_path / "edges.npz"
+    text.write_text("A\tB\n")
+    other = tmp_path / "other.npz"
+    np.savez(other, x=np.arange(3))
+    for path in (text, other):
+        with pytest.raises(GraphError) as err:
+            CitationGraph.load_cache(path)
+        assert str(err.value) == f"{path}: not a citerec graph cache"
+    with pytest.raises(FileNotFoundError):
+        CitationGraph.load_cache(tmp_path / "missing.npz")
 
 
 def test_edge_file_roundtrip(tmp_path):

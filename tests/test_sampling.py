@@ -22,6 +22,12 @@ def test_sampling_params_validation():
         SamplingParams(p=0)
     with pytest.raises(ValueError):
         SamplingParams(q=-1)
+    # 1/p and 1/q are step weights, so they must be finite too
+    for bad in (float("inf"), float("nan"), 5e-324):
+        with pytest.raises(ValueError):
+            SamplingParams(p=bad)
+        with pytest.raises(ValueError):
+            SamplingParams(q=bad)
 
 
 def test_walk_on_single_edge_alternates():
@@ -106,8 +112,11 @@ def kite_graph():
          ("E", "F"), ("F", "D"), ("C", "E"), ("G", "A")], years={"Z": 2000})
 
 
+# p = 1e6 makes the pendant G accept its only step (back to A) once in 1e6
+# proposals, and q = 1e-3 makes steps inside a triangle rare: both need the
+# exact fallback that ends the rejection rounds
 @pytest.mark.parametrize("p,q", [(1.0, 1.0), (0.25, 4.0), (4.0, 0.25),
-                                 (0.5, 2.0)])
+                                 (0.5, 2.0), (1e6, 1.0), (4.0, 1e-3)])
 def test_lockstep_walk_law_matches_transition_probs(p, q):
     g = kite_graph()
     corpus = generate_walk_corpus(
