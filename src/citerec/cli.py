@@ -13,7 +13,7 @@ import hashlib
 import sys
 
 from . import __version__
-from .graph import CitationGraph, load_graph
+from .graph import CitationGraph, load_graph, text_lines
 from .sampling import SamplingParams, WalkCorpus, generate_walk_corpus, cocitation_corpus
 from .embedding import (TrainParams, TrainingError, init_model, train,
                         save_model, load_model)
@@ -34,15 +34,14 @@ def params_hash(params: dict) -> str:
 
 def read_config(path):
     cfg = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            k, v = (s.strip() for s in line.split("=", 1))
-            cfg[k] = v
+    for lineno, line in text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        k, v = (s.strip() for s in line.split("=", 1))
+        cfg[k] = v
     return cfg
 
 
@@ -160,25 +159,30 @@ def _write_series(path, header, lines, methods, cells):
 
 
 def cmd_plotdata(args):
-    rows = []
-    with open(args.report, encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        for lineno, line in enumerate(f, 2):
-            fields = line.strip().split(",")
-            if fields == [""]:
-                continue
-            if len(fields) != len(header):
-                raise ValueError(f"{args.report}:{lineno}: "
-                                 f"expected {len(header)} fields")
-            rows.append(dict(zip(header, fields)))
-    methods = sorted({r["method"] for r in rows})
-    ks = sorted({int(r["k"]) for r in rows})
-    ratios = sorted({float(r["hidden_ratio"]) for r in rows})
-
-    cells = {}
-    for r in rows:
-        key = (r["method"], int(r["k"]), float(r["hidden_ratio"]))
+    lines = text_lines(args.report)
+    header = next(lines, (1, ""))[1].strip().split(",")
+    missing = [c for c in ("method", "hidden_ratio", "k", "mean_recall")
+               if c not in header]
+    if missing:
+        raise ValueError(f"{args.report}: missing report column(s): "
+                         f"{', '.join(missing)}")
+    n_rows, cells = 0, {}
+    for lineno, line in lines:
+        fields = line.strip().split(",")
+        if len(fields) != len(header):
+            raise ValueError(f"{args.report}:{lineno}: "
+                             f"expected {len(header)} fields")
+        r = dict(zip(header, fields))
+        try:
+            key = (r["method"], int(r["k"]), float(r["hidden_ratio"]))
+        except ValueError as exc:
+            raise ValueError(f"{args.report}:{lineno}: {exc}") from None
         cells.setdefault(key, r["mean_recall"])
+        n_rows += 1
+    methods = sorted({m for m, _, _ in cells})
+    ks = sorted({k for _, k, _ in cells})
+    ratios = sorted({r for _, _, r in cells})
+
     # recall vs k at each hidden ratio, and vs hidden ratio at each k
     _write_series(args.prefix + "_recall_vs_k.csv", "hidden_ratio,k",
                   [(f"{r:g},{k}", k, r) for r in ratios for k in ks],
@@ -186,7 +190,7 @@ def cmd_plotdata(args):
     _write_series(args.prefix + "_recall_vs_ratio.csv", "k,hidden_ratio",
                   [(f"{k},{r:g}", k, r) for k in ks for r in ratios],
                   methods, cells)
-    print(f"plotdata: {len(rows)} report rows -> {args.prefix}_recall_vs_k.csv, "
+    print(f"plotdata: {n_rows} report rows -> {args.prefix}_recall_vs_k.csv, "
           f"{args.prefix}_recall_vs_ratio.csv")
     return 0
 

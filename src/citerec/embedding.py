@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CitationGraph, GraphError, is_token
+from .graph import CitationGraph, GraphError, is_token, text_lines
 from .sampling import WalkCorpus
 
 
@@ -50,6 +50,8 @@ class TrainParams:
             raise ValueError("need lr > lr_min >= 0")
         if self.mode not in ("exact", "neg"):
             raise ValueError(f"unknown objective mode: {self.mode!r}")
+        if self.negatives < 1:
+            raise ValueError("negatives must be >= 1")
 
 
 class EmbeddingModel:
@@ -317,31 +319,29 @@ def save_model(m: EmbeddingModel, path_in):
 
 
 def _load_matrix(path):
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        try:
-            n, d = (int(x) for x in header)
-        except ValueError:
-            raise ValueError(f"{path}:1: expected header '<N> <d>'") from None
-        ids, rows, seen = [], [], set()
-        for lineno, line in enumerate(f, 2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != d + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {d + 1} fields, found {len(parts)}")
-            if parts[0] in seen:
-                raise ValueError(f"{path}:{lineno}: repeated paper id {parts[0]!r}")
-            seen.add(parts[0])
-            ids.append(parts[0])
-            try:
-                rows.append([float(x) for x in parts[1:]])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if len(ids) != n:
+    lines = text_lines(path)
+    lineno, header = next(lines, (1, ""))
+    try:
+        n, d = (int(x) for x in header.split())
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: expected header '<N> <d>'") from None
+    ids, rows, seen = [], [], set()
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != d + 1:
             raise ValueError(
-                f"{path}: header declares {n} rows, found {len(ids)}")
+                f"{path}:{lineno}: expected {d + 1} fields, found {len(parts)}")
+        if parts[0] in seen:
+            raise ValueError(f"{path}:{lineno}: repeated paper id {parts[0]!r}")
+        seen.add(parts[0])
+        ids.append(parts[0])
+        try:
+            rows.append([float(x) for x in parts[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if len(ids) != n:
+        raise ValueError(
+            f"{path}: header declares {n} rows, found {len(ids)}")
     return ids, np.array(rows, dtype=np.float64).reshape(len(ids), d)
 
 

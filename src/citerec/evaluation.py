@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CitationGraph, YEAR_UNKNOWN
+from .graph import CitationGraph, YEAR_UNKNOWN, text_lines
 from .ranking import ALL_METHODS, EMBEDDING_METHODS, METHODS, recommend
 
 log = logging.getLogger(__name__)
@@ -223,19 +223,17 @@ def write_queries(path, queries):
 
 def read_queries(path):
     queries = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields")
-            try:
-                queries.append(Query(
-                    query_id=parts[0], year=int(parts[1]),
-                    hidden_ratio=float(parts[2]),
-                    seeds=parts[3].split(","), hidden=parts[4].split(",")))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in text_lines(path):
+        if line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ValueError(f"{path}:{lineno}: expected 5 fields")
+        try:
+            queries.append(Query(
+                query_id=parts[0], year=int(parts[1]),
+                hidden_ratio=float(parts[2]),
+                seeds=parts[3].split(","), hidden=parts[4].split(",")))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return queries

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import logging
 import zipfile
+import zlib
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
 YEAR_UNKNOWN = -1
+_YEAR_RANGE = np.iinfo(np.int64)
 
 
 class GraphFormatError(ValueError):
@@ -34,6 +36,16 @@ def is_token(tok):
     text line, as the corpus and model files need: non-empty and free of
     whitespace."""
     return tok.split() == [tok]
+
+
+def text_lines(path):
+    """Yield ``(line_number, line)`` for each line of the UTF-8 text file
+    ``path``, newline removed, skipping lines that are empty or hold only
+    whitespace.  Every text reader in the package reads through here."""
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.isspace():
+                yield lineno, line.rstrip("\n")
 
 
 def _csr_from_pairs(src, dst, n):
@@ -178,7 +190,7 @@ class CitationGraph:
 
         Nodes with unknown year are removed along with all incident edges.
         """
-        if not self.has_years:
+        if self.n and not self.has_years:
             raise GraphError("time-slice requires years")
         keep = (self.years != YEAR_UNKNOWN) & (self.years <= year)
         new_of_old = np.full(self.n, -1, dtype=np.int64)
@@ -222,6 +234,10 @@ class CitationGraph:
             if not zipfile.is_zipfile(f):  # truncated, or not an .npz at all
                 raise GraphError(f"{path}: not a citerec graph cache")
         try:
+            # every member's CRC is checked before numpy parses any of it
+            with zipfile.ZipFile(path) as zf:
+                if zf.testzip() is not None:
+                    raise zipfile.BadZipFile
             with np.load(path) as z:
                 try:
                     ids = z["ids"].tolist()
@@ -229,8 +245,11 @@ class CitationGraph:
                     raise GraphError(f"{path}: graph cache holds pickled ids; "
                                      "re-run citerec ingest") from None
                 return cls(ids, z["years"], z["edges_u"], z["edges_w"])
-        # a damaged member, or an .npz without the cache's arrays
-        except (zipfile.BadZipFile, EOFError, KeyError):
+        # a damaged archive or member, a member zipfile cannot read (an
+        # unknown method or encryption: RuntimeError), or an .npz without
+        # the cache's arrays
+        except (zipfile.BadZipFile, EOFError, KeyError, zlib.error,
+                RuntimeError):
             raise GraphError(f"{path}: not a citerec graph cache") from None
 
     def save_edges(self, edges_path, nodes_path=None):
@@ -253,31 +272,27 @@ def load_graph(edges_path, nodes_path=None):
     Node file: one ``<paper_id>\\t<year>`` record per line.
     """
     edges = []
-    with open(edges_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise GraphFormatError(
-                    f"{edges_path}:{lineno}: expected <citing>\\t<cited>, got {line!r}")
-            edges.append((parts[0], parts[1]))
+    for lineno, line in text_lines(edges_path):
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise GraphFormatError(
+                f"{edges_path}:{lineno}: expected <citing>\\t<cited>, got {line!r}")
+        edges.append((parts[0], parts[1]))
     years = None
     if nodes_path is not None:
         years = {}
-        with open(nodes_path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[0]:
-                    raise GraphFormatError(
-                        f"{nodes_path}:{lineno}: expected <paper_id>\\t<year>, got {line!r}")
-                try:
-                    years[parts[0]] = int(parts[1])
-                except ValueError:
-                    raise GraphFormatError(
-                        f"{nodes_path}:{lineno}: year is not an integer: {parts[1]!r}") from None
+        for lineno, line in text_lines(nodes_path):
+            parts = line.split("\t")
+            if len(parts) != 2 or not parts[0]:
+                raise GraphFormatError(
+                    f"{nodes_path}:{lineno}: expected <paper_id>\\t<year>, got {line!r}")
+            try:
+                y = int(parts[1])
+            except ValueError:
+                raise GraphFormatError(
+                    f"{nodes_path}:{lineno}: year is not an integer: {parts[1]!r}") from None
+            if not _YEAR_RANGE.min <= y <= _YEAR_RANGE.max:
+                raise GraphFormatError(
+                    f"{nodes_path}:{lineno}: year out of range: {parts[1]!r}")
+            years[parts[0]] = y
     return CitationGraph.from_edges(edges, years)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .graph import CitationGraph, GraphError, is_token
+from .graph import CitationGraph, GraphError, is_token, text_lines
 
 
 @dataclass(frozen=True)
@@ -74,25 +74,21 @@ class WalkCorpus:
     @classmethod
     def load(cls, path, graph: CitationGraph):
         corpus = cls()
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for tok in line[1:].split():
-                        if "=" in tok:
-                            k, v = tok.split("=", 1)
-                            if k == "strategy":
-                                corpus.strategy = v
-                            else:
-                                corpus.params[k] = v
-                    continue
-                try:
-                    seq = [graph.index_of(t) for t in line.split()]
-                except GraphError as exc:
-                    raise GraphError(f"{path}:{lineno}: {exc}") from None
-                corpus.sequences.append(np.array(seq, dtype=np.int64))
+        for lineno, line in text_lines(path):
+            if line.startswith("#"):
+                for tok in line[1:].split():
+                    if "=" in tok:
+                        k, v = tok.split("=", 1)
+                        if k == "strategy":
+                            corpus.strategy = v
+                        else:
+                            corpus.params[k] = v
+                continue
+            try:
+                seq = [graph.index_of(t) for t in line.split()]
+            except GraphError as exc:
+                raise GraphError(f"{path}:{lineno}: {exc}") from None
+            corpus.sequences.append(np.array(seq, dtype=np.int64))
         return corpus
 
 

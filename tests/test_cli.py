@@ -124,6 +124,22 @@ def test_truncated_graph_cache_is_clean_error(dataset, capsys):
         f"error: {cut}: not a citerec graph cache\n")
 
 
+def test_damaged_graph_cache_is_clean_error(tmp_path, capsys):
+    g = make_synthetic_citation_corpus_graph(
+        n_papers=120, n_communities=3, year_lo=2000, year_hi=2006,
+        refs_lo=3, refs_hi=8, seed=3)
+    g.save_cache(tmp_path / "g.npz")
+    data = bytearray((tmp_path / "g.npz").read_bytes())
+    data[60] ^= 0xFF  # inside the first member's deflate stream
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(data)
+    assert main(["slice", "--graph", str(bad), "--year", "2003",
+                 "--output", str(tmp_path / "s.npz")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not a citerec graph cache\n")
+    assert not (tmp_path / "s.npz").exists()
+
+
 def ingest_edges(d, lines):
     (d / "edges.tsv").write_text("".join(f"{u}\t{w}\n" for u, w in lines))
     assert main(["ingest", "--edges", str(d / "edges.tsv"),
@@ -158,6 +174,21 @@ def test_train_rejects_model_id_with_whitespace(tmp_path, capsys):
         "error: paper id 'a b' holds whitespace and cannot be written to a "
         "model file\n")
     assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("negatives", ["0", "-1"])
+def test_train_rejects_negatives_below_one(dataset, capsys, negatives):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--output", str(d / "g.npz")])
+    main(["sample", "--graph", str(d / "g.npz"), "--strategy", "cocit",
+          "--n", "1", "--output", str(d / "corpus.txt")])
+    capsys.readouterr()
+    assert main(["train", "--graph", str(d / "g.npz"),
+                 "--corpus", str(d / "corpus.txt"), "--dim", "4",
+                 "--epochs", "1", "--negatives", negatives,
+                 "--output", str(d / "model.txt")]) == 1
+    assert capsys.readouterr().err == "error: negatives must be >= 1\n"
+    assert not (d / "model.txt").exists()
 
 
 def test_sample_cocit_ignores_walk_length(dataset):
@@ -322,4 +353,24 @@ def test_plotdata_rejects_short_row(tmp_path, capsys):
     assert main(["plotdata", "--report", str(report),
                  "--prefix", str(tmp_path / "series")]) == 1
     assert capsys.readouterr().err == f"error: {report}:3: expected 5 fields\n"
+    assert not (tmp_path / "series_recall_vs_k.csv").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("hidden_ratio,k,mean_recall,n_queries\ncf,0.1,10,0.5,4\n",
+     ": missing report column(s): method"),
+    ("method,ratio,k,recall\ncf,0.1,10,0.5\n",
+     ": missing report column(s): hidden_ratio, mean_recall"),
+    ("", ": missing report column(s): method, hidden_ratio, k, mean_recall"),
+    (REPORT_HEADER + "cf,0.1,10,0.5,4\n\ncf,0.1,ten,0.5,4\n",
+     ":4: invalid literal for int() with base 10: 'ten'"),
+    (REPORT_HEADER + "cf,0.1,10,0.5,4\ncf,x,10,0.5,4\n",
+     ":3: could not convert string to float: 'x'"),
+], ids=["no-method", "two-missing", "empty", "bad-k", "bad-ratio"])
+def test_plotdata_names_bad_report(tmp_path, capsys, text, message):
+    report = tmp_path / "report.csv"
+    report.write_text(text)
+    assert main(["plotdata", "--report", str(report),
+                 "--prefix", str(tmp_path / "series")]) == 1
+    assert capsys.readouterr().err == f"error: {report}{message}\n"
     assert not (tmp_path / "series_recall_vs_k.csv").exists()

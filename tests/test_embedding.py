@@ -362,10 +362,21 @@ def test_model_load_hand_written_fixture(tmp_path):
     assert np.array_equal(m.w_out, np.zeros((2, 2)))
 
 
+def test_model_load_skips_whitespace_only_lines(tmp_path):
+    # the header is the first line holding more than whitespace
+    (tmp_path / "m.txt").write_text("\n \n2 2\na 1 2\n\t\nb 3 4")
+    (tmp_path / "m.txt.out").write_text("2 2\na 0 0\n\nb 0 0\n \n")
+    m = load_model(tmp_path / "m.txt")
+    assert m.ids == ["a", "b"]
+    assert np.array_equal(m.w_in, [[1, 2], [3, 4]])
+
+
 @pytest.mark.parametrize("text,message", [
     ("2 2\na 1 2\nb 3 x\n", ":3: could not convert string to float: 'x'"),
     ("2 2\na 1 2\na 3 4\n", ":3: repeated paper id 'a'"),
     ("2 two\na 1 2\nb 3 4\n", ":1: expected header '<N> <d>'"),
+    ("", ":1: expected header '<N> <d>'"),
+    ("\n \n2 x\na 1 2\nb 3 4\n", ":3: expected header '<N> <d>'"),
 ])
 def test_model_load_names_bad_line(tmp_path, text, message):
     (tmp_path / "m.txt").write_text(text)
@@ -404,3 +415,7 @@ def test_train_params_validation():
         TrainParams(mode="softmax")
     with pytest.raises(ValueError):
         TrainParams(lr=0.0001, lr_min=0.01)
+    for negatives in (0, -1):
+        with pytest.raises(ValueError, match="negatives must be >= 1"):
+            TrainParams(mode="neg", negatives=negatives)
+    assert TrainParams(mode="neg", negatives=1).negatives == 1

@@ -295,6 +295,12 @@ def test_query_file_roundtrip(tmp_path):
             for q in queries]
 
 
+def test_read_queries_skips_whitespace_only_lines(tmp_path):
+    path = tmp_path / "q.tsv"
+    path.write_text("q1\t2006\t0.1\ta\tb\n \t \n\nq2\t2007\t0.5\tc\td\n")
+    assert [q.query_id for q in read_queries(path)] == ["q1", "q2"]
+
+
 @pytest.mark.parametrize("line,message", [
     ("q2\t20x7\t0.1\ta\tb", "invalid literal for int() with base 10: '20x7'"),
     ("q2\t2007\tten\ta\tb", "could not convert string to float: 'ten'"),

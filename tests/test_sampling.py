@@ -232,6 +232,15 @@ def test_corpus_save_load_roundtrip(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_corpus_load_skips_whitespace_only_lines(tmp_path):
+    g = triangle_with_pendant()
+    path = tmp_path / "c.txt"
+    path.write_text(f"# strategy=cocit\n{g.ids[0]} {g.ids[1]}\n \n\t\n"
+                    f"{g.ids[2]}\n")
+    assert [s.tolist() for s in WalkCorpus.load(path, g).sequences] == [
+        [0, 1], [2]]
+
+
 def test_corpus_load_names_line_of_unknown_id(tmp_path):
     g = triangle_with_pendant()
     path = tmp_path / "c.txt"
