@@ -2,10 +2,13 @@
 its context papers' vectors.
 
 Two objectives are supported.  Exact softmax optimizes -log Pr(target |
-context) with a full softmax over the vocabulary; it is the reference mode
-and is gradient-checked in the test suite.  Negative sampling optimizes the
-usual sampled surrogate (k negatives drawn from a unigram^0.75 noise
-distribution over corpus frequencies) and scales to large graphs.
+context) with a full softmax over the vocabulary, one window at a time; it
+is the reference mode and is gradient-checked in the test suite.  Negative
+sampling optimizes the usual sampled surrogate (k negatives drawn from a
+unigram^0.75 noise distribution over corpus frequencies) and scales to large
+graphs: each block of windows is one set of array operations, and, as in
+word2vec's CBOW, every context row gets the whole context error rather than
+its share of the mean's gradient.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from .sampling import WalkCorpus
 
 log = logging.getLogger(__name__)
 
-# Steps whose negatives, learning rates and losses are handled together.
-TRAIN_BLOCK_STEPS = 1024
+# Context-vector floats one training block gathers; a block holds about
+# TRAIN_BLOCK_FLOATS // (2 * window * dim) windows, so a larger model trains
+# in shorter blocks and a block's temporaries keep one size.
+TRAIN_BLOCK_FLOATS = 1 << 17
 # Context tokens gathered at a time when building the flat windows.
 WINDOW_CHUNK_TOKENS = 1 << 16
 
@@ -60,8 +65,9 @@ class EmbeddingModel:
 
     def __init__(self, ids, w_in, w_out):
         self.ids = list(ids)
-        self.w_in = np.asarray(w_in, dtype=np.float64)
-        self.w_out = np.asarray(w_out, dtype=np.float64)
+        # contiguous, so that training can update the flat matrices in place
+        self.w_in = np.ascontiguousarray(w_in, dtype=np.float64)
+        self.w_out = np.ascontiguousarray(w_out, dtype=np.float64)
         if self.w_in.shape != self.w_out.shape or self.w_in.shape[0] != len(self.ids):
             raise ValueError("matrix shapes disagree with vocabulary size")
         self._index = {tok: i for i, tok in enumerate(self.ids)}
@@ -216,88 +222,133 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _block_windows(params: TrainParams):
+    """Windows per training block, so that a block gathers at most about
+    ``TRAIN_BLOCK_FLOATS`` floats of context vectors, whatever the window
+    and dim."""
+    return max(1, TRAIN_BLOCK_FLOATS // (2 * params.window * params.dim))
+
+
+def _exact_block(m, targets, context, offsets, windows, lrs):
+    """Exact-softmax steps for ``windows``, one after another; the sequential
+    reference.  Returns each step's loss."""
+    w_in, w_out = m.w_in, m.w_out
+    losses = np.empty(windows.size)
+    steps = zip(lrs.tolist(), targets[windows].tolist(),
+                offsets[windows].tolist(), offsets[windows + 1].tolist())
+    for j, (lr, target, lo, hi) in enumerate(steps):
+        rows = context[lo:hi]
+        # the sum divided by the count is bit for bit what mean() returns
+        h = w_in.take(rows, axis=0).sum(axis=0) / (hi - lo)
+        probs = softmax(w_out @ h)
+        losses[j] = -np.log(probs[target])
+        dlogits = probs
+        dlogits[target] -= 1.0
+        dh = w_out.T @ dlogits
+        w_out -= lr * np.outer(dlogits, h)
+        np.add.at(w_in, rows, -lr * dh / (hi - lo))
+    return losses
+
+
+def _scatter_add(w, rows, values):
+    """``w[rows] += values``, adding every value of a repeated row, in order.
+
+    ``np.add.at`` on the flat matrix is about 2.5x faster than on its rows,
+    with the same additions in the same order.  ``w`` is C-contiguous, as
+    ``EmbeddingModel`` keeps it, so its flat reshape is a view.
+    """
+    d = w.shape[1]
+    flat = (rows.astype(np.intp)[:, None] * d + np.arange(d)).ravel()
+    np.add.at(w.reshape(-1), flat, values.ravel())
+
+
+def _neg_block(m, targets, context, offsets, noise_cdf, negatives, rng,
+               windows, lrs):
+    """Negative-sampling steps for ``windows`` as one set of array operations.
+
+    Every read comes from the parameters as they were at the start of the
+    block, and every update is then added, so a row that appears twice (a
+    target drawn as its own negative, a context paper in two windows) gets
+    both updates.  Each context row gets the whole context error ``dh``,
+    undivided by the context size, as word2vec's CBOW applies ``neu1e``;
+    the exact gradient of the mean would divide it.  Returns each step's
+    loss.
+    """
+    w_in, w_out = m.w_in, m.w_out
+    nb = windows.size
+    out_rows = np.empty((nb, negatives + 1), dtype=np.intp)
+    out_rows[:, 0] = targets[windows]
+    out_rows[:, 1:] = np.searchsorted(noise_cdf, rng.random((nb, negatives)))
+    labels = np.zeros(negatives + 1)
+    labels[0] = 1.0
+    # the block's contexts, flat: window j's start at rows[starts[j]]
+    lo = offsets[windows]
+    counts = offsets[windows + 1] - lo
+    starts = np.cumsum(counts) - counts
+    rows = context[np.repeat(lo - starts, counts) + np.arange(counts.sum())]
+    h = np.add.reduceat(w_in[rows], starts, axis=0) / counts[:, None]
+    wo = w_out[out_rows]
+    scores = _sigmoid(np.einsum("bkd,bd->bk", wo, h))
+    derr = scores - labels
+    dh = np.einsum("bk,bkd->bd", derr, wo)
+    step_err = lrs[:, None] * derr
+    _scatter_add(w_out, out_rows.ravel(),
+                 -(step_err[:, :, None] * h[:, None, :]))
+    _scatter_add(w_in, rows, np.repeat(-(lrs[:, None] * dh), counts, axis=0))
+    return -np.log(np.abs(1.0 - labels - scores) + 1e-12).sum(axis=1)
+
+
 def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
     """SGD over shuffled context windows; returns the updated model.
 
-    Learning rate decays linearly from lr to lr_min over all steps.
-    Deterministic for a fixed seed: one RNG stream draws each epoch's window
-    order and then, in ``neg`` mode, that epoch's negatives, a block of
-    ``TRAIN_BLOCK_STEPS`` steps at a time.  A block draw takes the same
-    numbers from the stream as one draw per step, and every update is
-    applied in step order with unchanged arithmetic, so models are
-    byte-identical to those of the one-draw-per-step trainer.  Each epoch's
-    mean loss, window count and windows/s are logged at INFO level.
+    Each epoch visits the windows in an order drawn from one RNG stream, in
+    blocks of ``_block_windows(params)`` windows.  Learning rate decays
+    linearly from lr to lr_min over all steps, one value per window.
+    ``exact`` mode steps through a block one window at a time.  ``neg`` mode
+    draws each block's negatives from the same stream, after the epoch's
+    order and in block order, and takes the whole block as one step on the
+    parameters as they were at its start (see ``_neg_block``).  A fixed seed
+    gives the same model, bit for bit.  Each epoch's mean loss, window count
+    and windows/s are logged at INFO level; a non-finite loss raises
+    ``TrainingError`` naming its step.
     """
     targets, context, offsets = context_windows(corpus.sequences, params.window)
     n_windows = targets.size
     if n_windows == 0 and params.epochs > 0:
         raise TrainingError("corpus produced no context windows")
     rng = np.random.default_rng([params.seed, 0x7472])
-    w_in, w_out = m.w_in, m.w_out
     neg = params.mode == "neg"
     if neg:
-        noise = _noise_distribution(corpus.sequences, m.n)
-        noise_cdf = np.cumsum(noise)
-        labels = np.zeros(params.negatives + 1)
-        labels[0] = 1.0
-
+        noise_cdf = np.cumsum(_noise_distribution(corpus.sequences, m.n))
+    block = _block_windows(params)
     total = max(params.epochs * n_windows, 1)
     step = 0
     for epoch in range(params.epochs):
         t0 = time.perf_counter()
         loss_sum = 0.0
         order = rng.permutation(n_windows)
-        for b0 in range(0, n_windows, TRAIN_BLOCK_STEPS):
-            block = order[b0:b0 + TRAIN_BLOCK_STEPS]
-            nb = block.size
+        for b0 in range(0, n_windows, block):
+            windows = order[b0:b0 + block]
             lrs = params.lr - (params.lr - params.lr_min) * (
-                np.arange(step, step + nb) / total)
-            tgts = targets[block]
+                np.arange(step, step + windows.size) / total)
             if neg:
-                negs = np.searchsorted(noise_cdf,
-                                       rng.random((nb, params.negatives)))
-                out_rows = np.column_stack((tgts, negs))
-                scores = np.empty(out_rows.shape)
+                losses = _neg_block(m, targets, context, offsets, noise_cdf,
+                                    params.negatives, rng, windows, lrs)
             else:
-                losses = np.empty(nb)
-            steps = zip(lrs.tolist(), tgts.tolist(), offsets[block].tolist(),
-                        offsets[block + 1].tolist())
-            for j, (lr, target, lo, hi) in enumerate(steps):
-                rows = context[lo:hi]
-                # the sum divided by the count is bit for bit what mean() returns
-                h = w_in.take(rows, axis=0).sum(axis=0) / (hi - lo)
-                if neg:
-                    o = out_rows[j]
-                    wo = w_out.take(o, axis=0)
-                    scores[j] = s = _sigmoid(wo @ h)
-                    derr = s - labels
-                    dh = derr @ wo
-                    # w_out[o] -= lr * outer(derr, h): the same products, and
-                    # for a repeated row the last write wins, as in -=
-                    wo -= lr * (derr[:, None] * h)
-                    w_out[o] = wo
-                else:
-                    probs = softmax(w_out @ h)
-                    losses[j] = -np.log(probs[target])
-                    dlogits = probs
-                    dlogits[target] -= 1.0
-                    dh = w_out.T @ dlogits
-                    w_out -= lr * np.outer(dlogits, h)
-                np.add.at(w_in, rows, -lr * dh / (hi - lo))
-            if neg:
-                losses = -np.log(np.abs(1.0 - labels - scores) + 1e-12).sum(axis=1)
+                losses = _exact_block(m, targets, context, offsets, windows,
+                                      lrs)
             bad = np.flatnonzero(~np.isfinite(losses))
             if bad.size:
                 j = bad[0]
                 raise TrainingError(
                     f"non-finite loss at step {step + j} (lr={lrs[j]:.6g})")
             loss_sum += losses.sum()
-            step += nb
+            step += windows.size
         elapsed = time.perf_counter() - t0
         log.info("epoch %d/%d: mean loss %.6g over %d windows, %.0f windows/s",
                  epoch + 1, params.epochs, loss_sum / n_windows, n_windows,
                  n_windows / elapsed)
-    if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
+    if not (np.isfinite(m.w_in).all() and np.isfinite(m.w_out).all()):
         raise TrainingError("non-finite parameters after training")
     return m
 
@@ -325,7 +376,7 @@ def _load_matrix(path):
         n, d = (int(x) for x in header.split())
     except ValueError:
         raise ValueError(f"{path}:{lineno}: expected header '<N> <d>'") from None
-    ids, rows, seen = [], [], set()
+    ids, rows, linenos, seen = [], [], [], set()
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != d + 1:
@@ -335,6 +386,7 @@ def _load_matrix(path):
             raise ValueError(f"{path}:{lineno}: repeated paper id {parts[0]!r}")
         seen.add(parts[0])
         ids.append(parts[0])
+        linenos.append(lineno)
         try:
             rows.append([float(x) for x in parts[1:]])
         except ValueError as exc:
@@ -342,7 +394,11 @@ def _load_matrix(path):
     if len(ids) != n:
         raise ValueError(
             f"{path}: header declares {n} rows, found {len(ids)}")
-    return ids, np.array(rows, dtype=np.float64).reshape(len(ids), d)
+    mat = np.array(rows, dtype=np.float64).reshape(len(ids), d)
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
+    return ids, mat
 
 
 def load_model(path_in):

@@ -41,9 +41,18 @@ def is_token(tok):
 def text_lines(path):
     """Yield ``(line_number, line)`` for each line of the UTF-8 text file
     ``path``, newline removed, skipping lines that are empty or hold only
-    whitespace.  Every text reader in the package reads through here."""
-    with open(path, encoding="utf-8") as f:
+    whitespace.  A line that is not UTF-8 raises ``ValueError`` naming
+    ``path:line``.  Every text reader in the package reads through here."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
+            # an undecodable byte is read as a lone surrogate, which does not
+            # encode back
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(
+                        f"{path}:{lineno}: not valid UTF-8") from None
             if not line.isspace():
                 yield lineno, line.rstrip("\n")
 
@@ -246,10 +255,11 @@ class CitationGraph:
                                      "re-run citerec ingest") from None
                 return cls(ids, z["years"], z["edges_u"], z["edges_w"])
         # a damaged archive or member, a member zipfile cannot read (an
-        # unknown method or encryption: RuntimeError), or an .npz without
-        # the cache's arrays
+        # unknown method or encryption: RuntimeError), a seek to a damaged
+        # directory offset or a bad bzip2 stream (OSError), or an .npz
+        # without the cache's arrays
         except (zipfile.BadZipFile, EOFError, KeyError, zlib.error,
-                RuntimeError):
+                RuntimeError, OSError):
             raise GraphError(f"{path}: not a citerec graph cache") from None
 
     def save_edges(self, edges_path, nodes_path=None):

@@ -140,6 +140,43 @@ def test_damaged_graph_cache_is_clean_error(tmp_path, capsys):
     assert not (tmp_path / "s.npz").exists()
 
 
+def test_graph_cache_with_damaged_directory_offset_is_clean_error(tmp_path,
+                                                                   capsys):
+    g = make_synthetic_citation_corpus_graph(
+        n_papers=120, n_communities=3, year_lo=2000, year_hi=2006,
+        refs_lo=3, refs_hi=8, seed=3)
+    g.save_cache(tmp_path / "g.npz")
+    data = bytearray((tmp_path / "g.npz").read_bytes())
+    # the end-of-central-directory record's offset of the directory
+    at = data.rfind(b"PK\x05\x06") + 16
+    data[at:at + 4] = (0xFFFFFFF0).to_bytes(4, "little")
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(data)
+    assert main(["slice", "--graph", str(bad), "--year", "2003",
+                 "--output", str(tmp_path / "s.npz")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not a citerec graph cache\n")
+
+
+def test_edge_file_not_utf8_names_line(tmp_path, capsys):
+    edges = tmp_path / "edges.tsv"
+    edges.write_bytes(b"a\tb\nc\t\xffd\n")
+    assert main(["ingest", "--edges", str(edges),
+                 "--output", str(tmp_path / "g.npz")]) == 1
+    assert capsys.readouterr().err == f"error: {edges}:2: not valid UTF-8\n"
+
+
+def test_recommend_rejects_non_finite_model_value(tmp_path, capsys):
+    model = tmp_path / "m.txt"
+    model.write_text("2 2\na 1 0\nb inf 0\n")
+    (tmp_path / "m.txt.out").write_text("2 2\na 0 0\nb 0 0\n")
+    assert main(["recommend", "--method", "simavg", "--seeds", "a",
+                 "--model", str(model),
+                 "--output", str(tmp_path / "rec.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {model}:3: non-finite value\n"
+    assert not (tmp_path / "rec.csv").exists()
+
+
 def ingest_edges(d, lines):
     (d / "edges.tsv").write_text("".join(f"{u}\t{w}\n" for u, w in lines))
     assert main(["ingest", "--edges", str(d / "edges.tsv"),

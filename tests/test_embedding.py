@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from citerec.graph import CitationGraph
 from citerec.sampling import (SamplingParams, WalkCorpus, cocitation_corpus,
                               generate_walk_corpus)
-from citerec.embedding import (TRAIN_BLOCK_STEPS, EmbeddingModel, TrainParams,
-                               TrainingError, _noise_distribution, _sigmoid,
+from citerec.embedding import (EmbeddingModel, TrainParams, TrainingError,
+                               _block_windows, _noise_distribution, _sigmoid,
                                context_windows, exact_gradients, exact_loss,
                                extract_windows, forward, init_model,
                                load_model, save_model, softmax, train)
@@ -182,43 +182,63 @@ def test_train_step_matches_analytic_gradient():
 
 
 def reference_train(m, corpus, params):
-    """The one-draw-per-step trainer that ``train`` must reproduce bit for
-    bit; returns each epoch's mean loss."""
+    """The trainer that ``train`` must reproduce bit for bit, one window at
+    a time; returns each epoch's mean loss.
+
+    ``exact`` mode steps through the windows in order.  ``neg`` mode takes
+    each block of windows as one step: every window reads the parameters as
+    they were at the start of its block, then every update is applied in
+    step order, each repeated row included, and each context row gets the
+    undivided context error.
+    """
     windows = list(extract_windows(corpus.sequences, params.window))
     rng = np.random.default_rng([params.seed, 0x7472])
     w_in, w_out = m.w_in, m.w_out
+    block = _block_windows(params)
     if params.mode == "neg":
-        noise = _noise_distribution(corpus.sequences, m.n)
-        noise_cdf = np.cumsum(noise)
+        noise_cdf = np.cumsum(_noise_distribution(corpus.sequences, m.n))
+        labels = np.zeros(params.negatives + 1)
+        labels[0] = 1.0
     total = max(params.epochs * len(windows), 1)
     step = 0
     epoch_losses = []
     for _ in range(params.epochs):
         loss_sum = 0.0
-        for wi in rng.permutation(len(windows)):
-            target, rows = windows[wi]
-            lr = params.lr - (params.lr - params.lr_min) * (step / total)
-            h = w_in[rows].mean(axis=0)
-            if params.mode == "exact":
-                probs = softmax(w_out @ h)
-                loss = -np.log(probs[target])
-                dlogits = probs
-                dlogits[target] -= 1.0
-                dh = w_out.T @ dlogits
-                w_out -= lr * np.outer(dlogits, h)
-            else:
-                negs = np.searchsorted(noise_cdf, rng.random(params.negatives))
-                out_rows = np.concatenate(([target], negs))
-                labels = np.zeros(out_rows.size)
-                labels[0] = 1.0
-                scores = _sigmoid(w_out[out_rows] @ h)
-                loss = -np.log(np.abs(1.0 - labels - scores) + 1e-12).sum()
-                derr = scores - labels
-                dh = derr @ w_out[out_rows]
-                w_out[out_rows] -= lr * np.outer(derr, h)
-            np.add.at(w_in, rows, -lr * dh / rows.size)
-            loss_sum += loss
-            step += 1
+        order = rng.permutation(len(windows))
+        for b0 in range(0, len(windows), block):
+            blk = order[b0:b0 + block]
+            if params.mode == "neg":
+                negs = np.searchsorted(noise_cdf,
+                                       rng.random((blk.size, params.negatives)))
+                in0, out0 = w_in.copy(), w_out.copy()
+            for j, wi in enumerate(blk):
+                target, rows = windows[wi]
+                lr = params.lr - (params.lr - params.lr_min) * (step / total)
+                if params.mode == "exact":
+                    h = w_in[rows].mean(axis=0)
+                    probs = softmax(w_out @ h)
+                    loss = -np.log(probs[target])
+                    dlogits = probs
+                    dlogits[target] -= 1.0
+                    dh = w_out.T @ dlogits
+                    w_out -= lr * np.outer(dlogits, h)
+                    np.add.at(w_in, rows, -lr * dh / rows.size)
+                else:
+                    out_rows = [target, *negs[j]]
+                    # a one-segment reduceat adds in train's order, which
+                    # differs from sum()'s in the last bit
+                    h = np.add.reduceat(in0[rows], [0])[0] / rows.size
+                    wo = out0[out_rows]
+                    scores = _sigmoid(np.einsum("kd,d->k", wo, h))
+                    loss = -np.log(np.abs(1.0 - labels - scores) + 1e-12).sum()
+                    derr = scores - labels
+                    dh = np.einsum("k,kd->d", derr, wo)
+                    for r, e in zip(out_rows, derr):
+                        w_out[r] -= (lr * e) * h
+                    for c in rows:
+                        w_in[c] -= lr * dh
+                loss_sum += loss
+                step += 1
         epoch_losses.append(loss_sum / len(windows))
     return epoch_losses
 
@@ -240,9 +260,10 @@ def reference_corpora():
 def test_train_byte_identical_to_reference(mode, kind):
     g, corpora = reference_corpora()
     corpus = corpora[kind]
-    params = TrainParams(dim=8, window=5, epochs=3, mode=mode, seed=4)
+    # dim 16 puts about two blocks in each epoch
+    params = TrainParams(dim=16, window=5, epochs=3, mode=mode, seed=4)
     n_windows = context_windows(corpus.sequences, params.window)[0].size
-    assert n_windows > TRAIN_BLOCK_STEPS
+    assert n_windows > _block_windows(params)
     if kind == "biased":
         assert any(len(np.unique(s)) < len(s) for s in corpus.sequences)
     m = train(init_model(g, params), corpus, params)
@@ -250,6 +271,44 @@ def test_train_byte_identical_to_reference(mode, kind):
     reference_train(ref, corpus, params)
     assert np.array_equal(m.w_in, ref.w_in)
     assert np.array_equal(m.w_out, ref.w_out)
+
+
+def test_train_neg_applies_target_drawn_as_own_negative():
+    # two papers: a window's target is often among its own negatives
+    g = chain_graph(2)
+    params = TrainParams(dim=4, window=1, epochs=1, lr=0.1, mode="neg",
+                         negatives=5, seed=3)
+    m = init_model(g, params)
+    w_in0 = m.w_in.copy()
+    train(m, corpus_of([[0, 1]]), params)
+    # both windows fall in one block and read w_out = 0, so every score is
+    # 1/2 and every output slot adds -lr * (1/2 - label) * h
+    rng = np.random.default_rng([params.seed, 0x7472])
+    order = rng.permutation(2)
+    negs = np.searchsorted(np.cumsum(_noise_distribution([[0, 1]], 2)),
+                           rng.random((2, params.negatives)))
+    assert any(int(w) in negs[j] for j, w in enumerate(order))
+    want = np.zeros_like(m.w_out)
+    for step, (target, neg_rows) in enumerate(zip(order, negs)):
+        lr = params.lr - (params.lr - params.lr_min) * step / 2
+        h = w_in0[1 - target]
+        want[target] -= lr * (0.5 - 1.0) * h
+        for r in neg_rows:
+            want[r] -= lr * 0.5 * h
+    np.testing.assert_allclose(m.w_out, want, rtol=1e-12, atol=0)
+
+
+def test_train_neg_same_seed_same_bytes():
+    g, corpora = reference_corpora()
+    corpus = corpora["biased"]
+
+    def trained(seed):
+        params = TrainParams(dim=8, window=5, epochs=2, mode="neg", seed=seed)
+        m = train(init_model(g, params), corpus, params)
+        return m.w_in.tobytes() + m.w_out.tobytes()
+
+    assert trained(4) == trained(4)
+    assert trained(4) != trained(5)
 
 
 @pytest.mark.parametrize("mode", ["exact", "neg"])
@@ -377,6 +436,7 @@ def test_model_load_skips_whitespace_only_lines(tmp_path):
     ("2 two\na 1 2\nb 3 4\n", ":1: expected header '<N> <d>'"),
     ("", ":1: expected header '<N> <d>'"),
     ("\n \n2 x\na 1 2\nb 3 4\n", ":3: expected header '<N> <d>'"),
+    ("2 2\na 1 2\nb nan 4\n", ":3: non-finite value"),
 ])
 def test_model_load_names_bad_line(tmp_path, text, message):
     (tmp_path / "m.txt").write_text(text)

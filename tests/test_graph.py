@@ -194,6 +194,12 @@ def test_text_lines_skips_blank_and_whitespace_lines(tmp_path):
     assert list(text_lines(path)) == [(1, "a b"), (5, "c\td "), (7, "last")]
 
 
+def test_text_lines_reads_crlf(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\tb\r\n\xc3\xa9\r\n")
+    assert list(text_lines(path)) == [(1, "a\tb"), (2, "\u00e9")]
+
+
 def test_whitespace_only_lines_are_skipped_in_graph_files(tmp_path):
     (tmp_path / "e.tsv").write_text("A\tB\n \n\t\nB\tC\n")
     (tmp_path / "n.tsv").write_text("A\t2000\n  \nC\t2002\n")
