@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CitationGraph
+from .graph import CitationGraph, sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -76,22 +76,30 @@ def cf_scores(g: CitationGraph, seeds):
     """Item-based CF: citing papers act as users, cited papers as items.
 
     score(d) = sum over seeds s of |Cit(s) ∩ Cit(d)| / (sqrt|Cit(s)| *
-    sqrt|Cit(d)|); items nobody cites score 0.
+    sqrt|Cit(d)|); items nobody cites score 0.  One gather takes every
+    (seed, paper a citer of that seed cites) pair, and each pair's count is
+    added seed by seed in ascending index order, in memory proportional to
+    the pairs, not to seeds x papers.
     """
-    seed_rows = sorted({g.index_of(s) for s in seeds})
-    if not seed_rows:
+    seed_rows = np.array(sorted({g.index_of(s) for s in seeds}), dtype=np.int64)
+    if seed_rows.size == 0:
         raise ValueError("seed set must be non-empty")
-    cit_counts = np.diff(g.cit_indptr).astype(np.float64)
-    norms = np.sqrt(cit_counts)
-    cited = cit_counts > 0
-
+    norms = np.sqrt(np.diff(g.cit_indptr).astype(np.float64))
+    pos, citers = _gather(g.cit_indptr, g.cit_indices,
+                          np.arange(seed_rows.size), seed_rows)
+    pos, items = _gather(g.ref_indptr, g.ref_indices, pos, citers)
+    keys, counts = sorted_unique(pos * np.int64(g.n) + items)
+    pos, items = keys // g.n, keys % g.n
     scores = np.zeros(g.n)
-    for s in seed_rows:
-        citers = g.cits(s)
-        if citers.size == 0:
-            continue
-        co = np.zeros(g.n)
-        for u in citers:
-            co[g.refs(int(u))] += 1.0
-        scores[cited] += co[cited] / (norms[cited] * norms[s])
+    np.add.at(scores, items, counts / (norms[items] * norms[seed_rows[pos]]))
     return scores
+
+
+def _gather(indptr, indices, tags, rows):
+    """Every member of the CSR rows ``rows``, each with its row's tag:
+    ``(tags repeated, indices)``, rows in the order given."""
+    lo = indptr[rows]
+    counts = indptr[rows + 1] - lo
+    starts = np.cumsum(counts) - counts
+    flat = np.repeat(lo - starts, counts) + np.arange(counts.sum())
+    return np.repeat(tags, counts), indices[flat]

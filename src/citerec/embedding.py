@@ -208,9 +208,10 @@ def exact_gradients(m: EmbeddingModel, target, ctx):
 
 
 def _noise_distribution(sequences, n):
-    freq = np.zeros(n)
-    for seq in sequences:
-        np.add.at(freq, np.asarray(seq, dtype=np.int64), 1.0)
+    # the empty head lets an empty corpus reach the TrainingError below
+    tokens = np.concatenate([np.zeros(0, np.int64), *sequences])
+    freq = np.bincount(tokens.astype(np.int64, copy=False),
+                       minlength=n).astype(np.float64)
     noise = freq ** 0.75
     total = noise.sum()
     if total == 0:

@@ -57,12 +57,23 @@ def text_lines(path):
                 yield lineno, line.rstrip("\n")
 
 
-def _csr_from_pairs(src, dst, n):
-    """Build (indptr, indices) for pairs already sorted by (src, dst)."""
-    counts = np.bincount(src, minlength=n)
+def sorted_unique(keys):
+    """``np.unique(keys, return_counts=True)`` for an integer array, by one
+    sort and an adjacent difference, which numpy 2's ``unique`` is many
+    times slower than on int64 keys."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.diff(starts, append=keys.size)
+
+
+def _csr_from_keys(keys, n):
+    """(indptr, indices) of the pairs ``(key // n, key % n)`` of the sorted
+    int64 ``keys``."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, dst.astype(np.int64, copy=True)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n
 
 
 class CitationGraph:
@@ -89,22 +100,18 @@ class CitationGraph:
         if self.self_loops_dropped:
             log.warning("dropped %d self-loop edge(s)", self.self_loops_dropped)
             u, w = u[keep], w[keep]
-        keys = np.unique(u * np.int64(self.n) + w)
+        n = np.int64(self.n)
+        keys, _ = sorted_unique(u * n + w)
         self.duplicate_edges_dropped = u.size - keys.size
-        u = keys // self.n
-        w = keys % self.n
-        self.m = int(u.size)
+        self.m = int(keys.size)
 
-        # out-edges sorted by (citing, cited): exactly the unique-key order
-        self.ref_indptr, self.ref_indices = _csr_from_pairs(u, w, self.n)
-        # in-edges sorted by (cited, citing)
-        order = np.lexsort((u, w))
-        self.cit_indptr, self.cit_indices = _csr_from_pairs(w[order], u[order], self.n)
-        # undirected union, deduplicated (mutual citations collapse to one)
-        ukeys = np.unique(np.concatenate([u * np.int64(self.n) + w,
-                                          w * np.int64(self.n) + u]))
-        self.adj_indptr, self.adj_indices = _csr_from_pairs(
-            ukeys // self.n, ukeys % self.n, self.n)
+        # out-edges keyed citing*n + cited, in-edges cited*n + citing, and
+        # their undirected union, deduplicated (mutual citations collapse)
+        in_keys = np.sort(keys % n * n + keys // n)
+        all_keys, _ = sorted_unique(np.concatenate([keys, in_keys]))
+        self.ref_indptr, self.ref_indices = _csr_from_keys(keys, n)
+        self.cit_indptr, self.cit_indices = _csr_from_keys(in_keys, n)
+        self.adj_indptr, self.adj_indices = _csr_from_keys(all_keys, n)
 
     # -- construction -----------------------------------------------------
 

@@ -65,18 +65,26 @@ def cit_mod(m: EmbeddingModel, seeds):
 
 def rank_scores(ids, scores, exclude, k=None):
     """Descending-score order, ties broken by ascending internal index,
-    excluded ids removed, truncated to k."""
+    NaN scores last, excluded ids removed, truncated to k.  ``ids`` are
+    distinct.  With ``k`` set, only the ids scoring at least the
+    ``(k + |exclude|)``-th best score are sorted: the first k kept ids lie
+    among them, ties at the cut included."""
     scores = np.asarray(scores, dtype=np.float64)
-    n = scores.size
-    order = np.lexsort((np.arange(n), -scores))
+    key = -scores  # partition and lexsort both put NaN last
     excluded = set(exclude)
+    cand = np.arange(key.size)
+    if k is not None and 0 < k < key.size - len(excluded):
+        cut = np.partition(key, k + len(excluded) - 1)[k + len(excluded) - 1]
+        if not np.isnan(cut):
+            cand = np.flatnonzero(key <= cut)
+    order = cand[np.lexsort((cand, key[cand]))]
     out = []
-    for i in order:
+    for i, score in zip(order.tolist(), scores[order].tolist()):
         tok = ids[i]
         if tok in excluded:
             continue
-        out.append((tok, float(scores[i])))
-        if k is not None and len(out) == k:
+        out.append((tok, score))
+        if len(out) == k:
             break
     return out
 

@@ -19,9 +19,9 @@ from citerec.baselines import PageRankParams, paperrank, cf_scores
 from citerec.evaluation import (ExperimentConfig, build_queries,
                                 check_no_time_leakage, recall_at_k,
                                 run_experiment, write_report)
-from conftest import make_planted_graph, make_synthetic_citation_corpus_graph
+from .conftest import make_planted_graph, make_synthetic_citation_corpus_graph
 
-from test_baselines import (cf_bruteforce_oracle, dense_paperrank_oracle,
+from .test_baselines import (cf_bruteforce_oracle, dense_paperrank_oracle,
                             incidence_fixture, two_triangle_graph)
 
 

@@ -237,6 +237,47 @@ def cf_bruteforce_oracle(g, seeds):
     return scores
 
 
+def reference_cf_scores(g, seeds):
+    """The former per-seed, per-citer loop, which adds every cited item's
+    term (0 for one sharing no citer) seed by seed."""
+    seed_rows = sorted({g.index_of(s) for s in seeds})
+    cit_counts = np.diff(g.cit_indptr).astype(np.float64)
+    norms = np.sqrt(cit_counts)
+    cited = cit_counts > 0
+    scores = np.zeros(g.n)
+    for s in seed_rows:
+        citers = g.cits(s)
+        if citers.size == 0:
+            continue
+        co = np.zeros(g.n)
+        for u in citers:
+            co[g.refs(int(u))] += 1.0
+        scores[cited] += co[cited] / (norms[cited] * norms[s])
+    return scores
+
+
+@st.composite
+def cf_graphs_and_seeds(draw):
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=4 * n))
+    # v{n} cites a few papers and nobody cites it
+    pairs += [(n, w) for w in draw(st.lists(node, max_size=3))]
+    seeds = draw(st.lists(st.integers(0, n), min_size=1, max_size=8))
+    seeds += draw(st.lists(st.sampled_from(seeds), max_size=3))  # repeats
+    return index_graph(n + 1, pairs), [f"v{i}" for i in seeds]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cf_graphs_and_seeds())
+def test_cf_matches_reference_loop_bit_for_bit(case):
+    g, seeds = case
+    ours = cf_scores(g, seeds)
+    ref = reference_cf_scores(g, seeds)
+    assert ours.dtype == np.float64
+    assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
+
+
 def incidence_fixture():
     # 5 citers u0..u4, 4 items i0..i3 with overlapping reference lists
     edges = [("u0", "i0"), ("u0", "i1"),

@@ -3,7 +3,7 @@ import pytest
 
 from citerec import cli
 from citerec.cli import main, params_hash, read_config
-from conftest import make_synthetic_citation_corpus_graph
+from .conftest import make_synthetic_citation_corpus_graph
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from citerec.embedding import (EmbeddingModel, TrainParams, TrainingError,
                                context_windows, exact_gradients, exact_loss,
                                extract_windows, forward, init_model,
                                load_model, save_model, softmax, train)
-from conftest import make_planted_graph
+from .conftest import make_planted_graph
 
 
 def chain_graph(n):
@@ -154,6 +154,25 @@ def test_zero_epochs_is_identity():
     train(m, corpus_of([[0, 1, 2, 3]]), params)
     assert np.array_equal(m.w_in, w_in0)
     assert np.array_equal(m.w_out, w_out0)
+
+
+def test_neg_empty_corpus_is_training_error():
+    g = chain_graph(6)
+    params = TrainParams(dim=4, window=2, epochs=0, mode="neg", seed=3)
+    for sequences in ([], [[]]):
+        with pytest.raises(TrainingError, match="empty corpus"):
+            train(init_model(g, params), corpus_of(sequences), params)
+
+
+def test_noise_distribution_counts_every_token():
+    seqs = [[0, 3, 3], np.array([3, 1], dtype=np.int32), [], [4]]
+    freq = np.zeros(6)
+    for seq in seqs:
+        np.add.at(freq, np.asarray(seq, dtype=np.int64), 1.0)
+    want = freq ** 0.75 / (freq ** 0.75).sum()
+    got = _noise_distribution(seqs, 6)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_train_step_matches_analytic_gradient():

@@ -11,7 +11,7 @@ from citerec.evaluation import (ExperimentConfig, Query, build_queries,
                                 check_no_time_leakage, hidden_count,
                                 read_queries, recall_at_k, run_experiment,
                                 write_queries, write_report)
-from conftest import make_synthetic_citation_corpus_graph
+from .conftest import make_synthetic_citation_corpus_graph
 
 
 def test_hidden_count_arithmetic():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from citerec.cli import main
-from conftest import make_synthetic_citation_corpus_graph
+from .conftest import make_synthetic_citation_corpus_graph
 
 MUTATIONS_PER_KIND = 150
 FUZZ_SEED = 20240607

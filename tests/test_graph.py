@@ -130,9 +130,13 @@ def test_csr_invariants_property(data):
     g = graph_of(n, years, edges)
     want = {(u, w) for u, w in edges if u != w}
     assert g.m == len(want)
+    loops = sum(u == w for u, w in edges)
+    assert g.self_loops_dropped == loops
+    assert g.duplicate_edges_dropped == len(edges) - loops - len(want)
     for indptr, indices in ((g.ref_indptr, g.ref_indices),
                             (g.cit_indptr, g.cit_indices),
                             (g.adj_indptr, g.adj_indices)):
+        assert indptr.dtype == np.int64 and indices.dtype == np.int64
         assert indptr.shape == (n + 1,) and indptr[0] == 0
         assert indptr[-1] == indices.size and np.all(np.diff(indptr) >= 0)
     for v in range(n):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from citerec.cli import build_parser
 from citerec.graph import CitationGraph
@@ -258,3 +258,63 @@ def test_registry_runs_every_method_and_feeds_the_cli():
     method_arg, = [a for a in sub["recommend"]._actions if a.dest == "method"]
     assert list(method_arg.choices) == list(ALL_METHODS)
     assert sub["evaluate"].get_default("methods") == ",".join(ALL_METHODS)
+
+
+def reference_rank_scores(ids, scores, exclude, k=None):
+    """The full-sort ranking: lexsort every id, then walk the order."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = scores.size
+    order = np.lexsort((np.arange(n), -scores))
+    excluded = set(exclude)
+    out = []
+    for i in order:
+        tok = ids[i]
+        if tok in excluded:
+            continue
+        out.append((tok, float(scores[i])))
+        if k is not None and len(out) == k:
+            break
+    return out
+
+
+def _bits(ranked):
+    # NaN != NaN, so compare scores by their bytes (which also tells -0.0
+    # from 0.0)
+    return [(tok, np.float64(s).tobytes()) for tok, s in ranked]
+
+
+@st.composite
+def scores_exclusions_ks(draw):
+    n = draw(st.integers(1, 30))
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+    value = draw(st.sampled_from(["integer", "special", "float"]))
+    if value == "integer":  # few distinct values: heavy ties at the cut
+        elem = st.integers(-3, 3).map(float)
+    elif value == "special":
+        elem = st.one_of(special, st.integers(-2, 2).map(float))
+    else:
+        elem = st.one_of(special, st.floats(-1e3, 1e3))
+    scores = draw(st.lists(elem, min_size=n, max_size=n))
+    ids = [f"p{i}" for i in range(n)]
+    # repeats, and ids that are not ranked at all
+    exclude = [f"p{i}" for i in draw(
+        st.lists(st.integers(0, n + 3), max_size=n + 2))]
+    n_excl = len(set(exclude) & set(ids))
+    ks = [None, 0, 1, n - n_excl, n - n_excl + 1, n, n + 5,
+          draw(st.integers(1, n))]
+    return ids, scores, exclude, ks
+
+
+_NAN_CUT = [0.1, np.nan, 0.3, np.nan, 0.2, -0.0, 0.0, np.inf]
+
+
+@settings(max_examples=400, deadline=None)
+@given(scores_exclusions_ks())
+# NaN ranks last, where np.partition would take it for the largest score
+@example((list("abcdefgh"), _NAN_CUT, [], [3]))
+@example((list("abcdefgh"), _NAN_CUT, ["h", "x"], [5]))
+def test_rank_scores_matches_full_sort_reference(case):
+    ids, scores, exclude, ks = case
+    for k in ks:
+        assert _bits(rank_scores(ids, scores, exclude, k)) == _bits(
+            reference_rank_scores(ids, scores, exclude, k)), k
