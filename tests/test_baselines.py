@@ -9,35 +9,9 @@ from citerec.baselines import PageRankParams, cf_scores, paperrank
 from citerec.ranking import rank_scores
 
 
-def reference_paperrank(g, seeds, params=None):
-    """The former power iteration: each spread is a difference of a
-    cumulative sum over the gathered neighbour contributions."""
-    if params is None:
-        params = PageRankParams()
-    seed_rows = np.array(sorted({g.index_of(s) for s in seeds}), dtype=np.int64)
-    lam = params.damping
-    restart = np.zeros(g.n)
-    restart[seed_rows] = 1.0 / seed_rows.size
-    deg = g.degrees.astype(np.float64)
-    dangling = deg == 0
-    safe_deg = np.where(dangling, 1.0, deg)
-
-    x = restart.copy()
-    for _ in range(params.max_iter):
-        contrib = x / safe_deg
-        csum = np.concatenate(([0.0], np.cumsum(contrib[g.adj_indices])))
-        spread = csum[g.adj_indptr[1:]] - csum[g.adj_indptr[:-1]]
-        dangling_mass = x[dangling].sum()
-        x_new = lam * (spread + dangling_mass * restart) + (1 - lam) * restart
-        if np.abs(x_new - x).sum() < params.tol:
-            x = x_new
-            break
-        x = x_new
-    return x
-
-
-def dense_paperrank_oracle(g, seeds, params, x0=None):
-    """Independent dense power iteration on the explicit transition matrix."""
+def dense_transition(g, seeds):
+    """The explicit column-stochastic transition matrix, an isolated node's
+    column being the restart vector, and that restart vector."""
     n = g.n
     rows = {g.index_of(s) for s in seeds}
     restart = np.zeros(n)
@@ -50,6 +24,19 @@ def dense_paperrank_oracle(g, seeds, params, x0=None):
             P[nbrs, u] = 1.0 / nbrs.size
         else:
             P[:, u] = restart
+    return P, restart
+
+
+def exact_paperrank(g, seeds, params):
+    """The fixed point by a dense direct solve of (I - λP) x = (1 - λ) r."""
+    P, restart = dense_transition(g, seeds)
+    lam = params.damping
+    return np.linalg.solve(np.eye(g.n) - lam * P, (1 - lam) * restart)
+
+
+def dense_paperrank_oracle(g, seeds, params, x0=None):
+    """Independent dense power iteration on the explicit transition matrix."""
+    P, restart = dense_transition(g, seeds)
     x = restart.copy() if x0 is None else np.asarray(x0, dtype=float)
     lam = params.damping
     for _ in range(params.max_iter):
@@ -122,10 +109,10 @@ def index_graph(n, pairs):
     return CitationGraph([f"v{i}" for i in range(n)], [2000] * n, u, w)
 
 
-def check_against_reference(g, seeds):
+def check_against_exact(g, seeds):
     params = PageRankParams()
     ours = paperrank(g, seeds, params)
-    np.testing.assert_allclose(ours, reference_paperrank(g, seeds, params),
+    np.testing.assert_allclose(ours, exact_paperrank(g, seeds, params),
                                rtol=0, atol=1e-12)
     assert abs(ours.sum() - 1.0) < 1e-9
     assert np.abs(ours - dense_paperrank_oracle(g, seeds, params)).max() < 1e-8
@@ -141,7 +128,7 @@ def check_against_reference(g, seeds):
 ])
 def test_paperrank_isolated_rows(n, pairs, seeds):
     g = index_graph(n, pairs)
-    check_against_reference(g, [f"v{i}" for i in seeds])
+    check_against_exact(g, [f"v{i}" for i in seeds])
 
 
 @st.composite
@@ -165,7 +152,7 @@ def graphs_and_seeds(draw):
 @settings(max_examples=200, deadline=None)
 @given(graphs_and_seeds())
 def test_paperrank_matches_reference_property(case):
-    check_against_reference(*case)
+    check_against_exact(*case)
 
 
 def test_paperrank_twin_leaves_tie_exactly():
@@ -185,6 +172,43 @@ def test_paperrank_twin_leaves_tie_exactly():
         order = [t for t, _ in rank_scores(g.ids, scores, seeds)]
         lo, hi = sorted((a, b))
         assert order.index(f"v{lo}") < order.index(f"v{hi}")
+
+
+def debug_lines(caplog, g, seeds):
+    """paperrank's scores and the DEBUG lines it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="citerec.baselines"):
+        scores = paperrank(g, seeds)
+    return scores, [r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.parametrize("n,pairs", [
+    (200, [(i, i + 1) for i in range(199)]),                   # path
+    (201, [(i, 0) for i in range(1, 201)]),                    # 200-leaf star
+    (40, [(i, j) for i in range(20) for j in range(20, 40)]),  # K20,20
+])
+def test_paperrank_iterations_bounded_on_bipartite_graphs(caplog, n, pairs):
+    # A power iteration contracts by only λ per step on a bipartite graph
+    # and needs 146 iterations on each of these.
+    g = index_graph(n, pairs)
+    for seeds in (["v0"], ["v1"], ["v5", "v7"]):
+        scores, (debug,) = debug_lines(caplog, g, seeds)
+        assert int(debug.removeprefix("paperrank: ").split()[0]) <= 60
+        # tol bounds the last step, not the error: on the path the solve
+        # stops about 2e-11 from the fixed point.
+        exact = exact_paperrank(g, seeds, PageRankParams())
+        assert np.abs(scores - exact).max() < 1e-9
+
+
+def test_paperrank_all_seeds_isolated_returns_restart(caplog):
+    # Ten shares of 1/10 do not sum to exactly 1, so only skipping the
+    # solve returns the restart vector bit for bit.
+    g = index_graph(14, [(0, 1), (1, 2), (2, 3)])
+    scores, debug = debug_lines(caplog, g, [f"v{i}" for i in range(4, 14)])
+    restart = np.zeros(14)
+    restart[4:] = 1 / 10
+    assert np.array_equal(scores, restart)
+    assert debug == ["paperrank: 0 iterations, L1 residual 0"]
 
 
 def test_paperrank_warns_at_max_iter(caplog):
@@ -334,3 +358,7 @@ def test_pagerank_params_validation():
         PageRankParams(damping=1.0)
     with pytest.raises(ValueError):
         PageRankParams(tol=0)
+    with pytest.raises(ValueError):
+        PageRankParams(tol=float("nan"))
+    with pytest.raises(ValueError):
+        PageRankParams(max_iter=0)
