@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CitationGraph, sorted_unique
+from .graph import CitationGraph, csr_gather, sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -132,21 +132,12 @@ def cf_scores(g: CitationGraph, seeds):
     if seed_rows.size == 0:
         raise ValueError("seed set must be non-empty")
     norms = np.sqrt(np.diff(g.cit_indptr).astype(np.float64))
-    pos, citers = _gather(g.cit_indptr, g.cit_indices,
-                          np.arange(seed_rows.size), seed_rows)
-    pos, items = _gather(g.ref_indptr, g.ref_indices, pos, citers)
+    citers, counts = csr_gather(g.cit_indptr, g.cit_indices, seed_rows)
+    pos = np.repeat(np.arange(seed_rows.size), counts)
+    items, counts = csr_gather(g.ref_indptr, g.ref_indices, citers)
+    pos = np.repeat(pos, counts)
     keys, counts = sorted_unique(pos * np.int64(g.n) + items)
     pos, items = keys // g.n, keys % g.n
     scores = np.zeros(g.n)
     np.add.at(scores, items, counts / (norms[items] * norms[seed_rows[pos]]))
     return scores
-
-
-def _gather(indptr, indices, tags, rows):
-    """Every member of the CSR rows ``rows``, each with its row's tag:
-    ``(tags repeated, indices)``, rows in the order given."""
-    lo = indptr[rows]
-    counts = indptr[rows + 1] - lo
-    starts = np.cumsum(counts) - counts
-    flat = np.repeat(lo - starts, counts) + np.arange(counts.sum())
-    return np.repeat(tags, counts), indices[flat]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CitationGraph, GraphError, is_token, text_lines
+from .graph import CitationGraph, GraphError, csr_gather, is_token, text_lines
 from .sampling import WalkCorpus
 
 
@@ -104,53 +104,31 @@ def init_model(g: CitationGraph, params: TrainParams):
     return EmbeddingModel(g.ids, w_in, w_out)
 
 
-def extract_windows(sequences, w):
-    """Yield (target, context array) for every position of every sequence.
+def context_windows(tokens, offsets, w):
+    """Every context window of a flat corpus, whose line i is
+    ``tokens[offsets[i]:offsets[i + 1]]``, as flat arrays ``(targets,
+    context, bounds)``.
 
-    Context is the symmetric window of half-width w around the target,
-    target excluded, duplicates kept.  Positions with an empty context are
-    skipped.  This is the reference for ``context_windows``, which returns
-    the same windows as flat arrays and is what ``train`` uses.
+    Each position of a line of two or more tokens is one window, in corpus
+    order.  Its context is the symmetric window of half-width w around the
+    target, target excluded, duplicates kept.  Window i predicts
+    ``targets[i]`` from ``context[bounds[i]:bounds[i + 1]]``.  ``targets``
+    and ``context`` are int32, ``bounds`` int64.  The context is gathered
+    ``WINDOW_CHUNK_TOKENS`` tokens at a time, which bounds the temporaries.
     """
     if w < 1:
         raise ValueError("window must be >= 1")
-    for seq in sequences:
-        seq = np.asarray(seq)
-        ln = len(seq)
-        if ln < 2:
-            continue
-        for i in range(ln):
-            lo = max(0, i - w)
-            ctx = np.concatenate([seq[lo:i], seq[i + 1:i + w + 1]])
-            if ctx.size:
-                yield int(seq[i]), ctx
-
-
-def context_windows(sequences, w):
-    """The windows of ``extract_windows(sequences, w)``, in the same order,
-    as flat arrays ``(targets, context, offsets)``.
-
-    Window i predicts ``targets[i]`` from ``context[offsets[i]:offsets[i + 1]]``.
-    ``targets`` and ``context`` are int32, ``offsets`` int64.  The context is
-    gathered ``WINDOW_CHUNK_TOKENS`` tokens at a time, which bounds the
-    temporaries.
-    """
-    if w < 1:
-        raise ValueError("window must be >= 1")
-    seqs = [s for s in map(np.asarray, sequences) if len(s) >= 2]
-    if not seqs:
-        return (np.zeros(0, np.int32), np.zeros(0, np.int32),
-                np.zeros(1, np.int64))
-    # every position of a sequence of length >= 2 has a non-empty context
-    targets = np.concatenate(seqs).astype(np.int32)
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    lengths = np.diff(offsets)
+    # every position of a line of length >= 2 has a non-empty context
+    targets = tokens[np.repeat(lengths >= 2, lengths)].astype(np.int32)
+    lengths = lengths[lengths >= 2]
     pos = np.arange(targets.size) - np.repeat(np.cumsum(lengths) - lengths,
                                               lengths)
     left = np.minimum(pos, w)
     counts = left + np.minimum(np.repeat(lengths, lengths) - 1 - pos, w)
-    offsets = np.zeros(targets.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    context = np.empty(offsets[-1], dtype=np.int32)
+    bounds = np.zeros(targets.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    context = np.empty(bounds[-1], dtype=np.int32)
     per_chunk = max(1, WINDOW_CHUNK_TOKENS // (2 * w))
     for a in range(0, targets.size, per_chunk):
         b = min(a + per_chunk, targets.size)
@@ -158,12 +136,12 @@ def context_windows(sequences, w):
         centre = np.repeat(np.arange(a, b), c)
         # the k-th context token of window i is token i - left[i] + k,
         # moved one place on once it reaches the target itself
-        k = (np.arange(offsets[b] - offsets[a])
-             - np.repeat(offsets[a:b] - offsets[a], c))
+        k = (np.arange(bounds[b] - bounds[a])
+             - np.repeat(bounds[a:b] - bounds[a], c))
         src = centre - np.repeat(left[a:b], c) + k
         src += src >= centre
-        context[offsets[a]:offsets[b]] = targets[src]
-    return targets, context, offsets
+        context[bounds[a]:bounds[b]] = targets[src]
+    return targets, context, bounds
 
 
 def softmax(logits):
@@ -207,11 +185,8 @@ def exact_gradients(m: EmbeddingModel, target, ctx):
     return loss, d_w_in, d_w_out
 
 
-def _noise_distribution(sequences, n):
-    # the empty head lets an empty corpus reach the TrainingError below
-    tokens = np.concatenate([np.zeros(0, np.int64), *sequences])
-    freq = np.bincount(tokens.astype(np.int64, copy=False),
-                       minlength=n).astype(np.float64)
+def _noise_distribution(tokens, n):
+    freq = np.bincount(tokens, minlength=n).astype(np.float64)
     noise = freq ** 0.75
     total = noise.sum()
     if total == 0:
@@ -283,10 +258,8 @@ def _neg_block(m, targets, context, offsets, noise_cdf, negatives, rng,
     labels = np.zeros(negatives + 1)
     labels[0] = 1.0
     # the block's contexts, flat: window j's start at rows[starts[j]]
-    lo = offsets[windows]
-    counts = offsets[windows + 1] - lo
+    rows, counts = csr_gather(offsets, context, windows)
     starts = np.cumsum(counts) - counts
-    rows = context[np.repeat(lo - starts, counts) + np.arange(counts.sum())]
     h = np.add.reduceat(w_in[rows], starts, axis=0) / counts[:, None]
     wo = w_out[out_rows]
     scores = _sigmoid(np.einsum("bkd,bd->bk", wo, h))
@@ -313,14 +286,15 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
     and windows/s are logged at INFO level; a non-finite loss raises
     ``TrainingError`` naming its step.
     """
-    targets, context, offsets = context_windows(corpus.sequences, params.window)
+    targets, context, offsets = context_windows(corpus.tokens, corpus.offsets,
+                                                params.window)
     n_windows = targets.size
     if n_windows == 0 and params.epochs > 0:
         raise TrainingError("corpus produced no context windows")
     rng = np.random.default_rng([params.seed, 0x7472])
     neg = params.mode == "neg"
     if neg:
-        noise_cdf = np.cumsum(_noise_distribution(corpus.sequences, m.n))
+        noise_cdf = np.cumsum(_noise_distribution(corpus.tokens, m.n))
     block = _block_windows(params)
     total = max(params.epochs * n_windows, 1)
     step = 0

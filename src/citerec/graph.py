@@ -68,6 +68,16 @@ def sorted_unique(keys):
     return keys[starts], np.diff(starts, append=keys.size)
 
 
+def csr_gather(indptr, indices, rows):
+    """The members of the CSR rows ``rows``, concatenated in the order
+    given, and each row's member count."""
+    lo = indptr[rows]
+    counts = indptr[rows + 1] - lo
+    starts = np.cumsum(counts) - counts
+    flat = np.repeat(lo - starts, counts) + np.arange(counts.sum())
+    return indices[flat], counts
+
+
 def _csr_from_keys(keys, n):
     """(indptr, indices) of the pairs ``(key // n, key % n)`` of the sorted
     int64 ``keys``."""

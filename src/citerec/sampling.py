@@ -1,21 +1,26 @@
 """Neighborhood construction: uniform walks, second-order biased walks and
 co-citation reference lists.
 
-Every corpus is a pure function of (graph, parameters, seed).  A walk
-corpus draws each pass from one RNG stream derived from (seed, pass index):
-all walkers of the pass step together, one array operation per step, so the
-stream is consumed in a fixed order.  A co-citation line draws from its own
-stream, derived from (seed, pass index, node index).
+Every corpus is a pure function of (graph, parameters, seed), and every
+pass draws from one RNG stream derived from (seed, pass index).  A walk
+pass steps all its walkers together, one array operation per step, so the
+stream is consumed in a fixed order.  A co-citation pass draws one key per
+reference and orders each reference list by its keys.  Each corpus logs its
+strategy, passes, lines, tokens and seconds at INFO level.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .graph import CitationGraph, GraphError, is_token, text_lines
+from .graph import CitationGraph, GraphError, csr_gather, is_token, text_lines
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -37,14 +42,23 @@ class SamplingParams:
 
 @dataclass
 class WalkCorpus:
-    """A list of node-index sequences plus the provenance that produced it."""
+    """Node-index lines stored flat, as the graph's CSR rows are: line i is
+    ``tokens[offsets[i]:offsets[i + 1]]``, both arrays int64.  Plus the
+    provenance that produced it."""
 
-    sequences: list = field(default_factory=list)
+    tokens: np.ndarray
+    offsets: np.ndarray
     strategy: str = ""
     params: dict = field(default_factory=dict)
 
     def __len__(self):
-        return len(self.sequences)
+        return self.offsets.size - 1
+
+    @property
+    def sequences(self):
+        """Each line as a view into ``tokens``."""
+        bounds = self.offsets.tolist()
+        return [self.tokens[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def save(self, path, graph: CitationGraph):
         """Raises GraphError, before writing, for an id that would not read
@@ -73,23 +87,31 @@ class WalkCorpus:
 
     @classmethod
     def load(cls, path, graph: CitationGraph):
-        corpus = cls()
+        strategy, params, tokens, bounds = "", {}, [], [0]
         for lineno, line in text_lines(path):
             if line.startswith("#"):
                 for tok in line[1:].split():
                     if "=" in tok:
                         k, v = tok.split("=", 1)
                         if k == "strategy":
-                            corpus.strategy = v
+                            strategy = v
                         else:
-                            corpus.params[k] = v
+                            params[k] = v
                 continue
             try:
-                seq = [graph.index_of(t) for t in line.split()]
+                tokens.extend([graph.index_of(t) for t in line.split()])
             except GraphError as exc:
                 raise GraphError(f"{path}:{lineno}: {exc}") from None
-            corpus.sequences.append(np.array(seq, dtype=np.int64))
-        return corpus
+            bounds.append(len(tokens))
+        return cls(np.array(tokens, dtype=np.int64),
+                   np.array(bounds, dtype=np.int64), strategy, params)
+
+
+def _logged(corpus, t0):
+    log.info("%s corpus: %d passes, %d lines, %d tokens, %.3f s",
+             corpus.strategy, corpus.params["n"], len(corpus),
+             corpus.tokens.size, time.perf_counter() - t0)
+    return corpus
 
 
 def transition_probs(g: CitationGraph, prev, cur, p, q):
@@ -135,11 +157,7 @@ def random_walk(g: CitationGraph, v, t, rng):
     return walk
 
 
-def _walk_rng(seed, pass_idx, root):
-    return np.random.default_rng([seed, pass_idx, root])
-
-
-# tags keep the per-pass shuffle and walk streams apart from the per-node ones
+# tags keep a pass's node-order stream apart from its step and key stream
 _ORDER_TAG = 0x6F726465
 _PASS_TAG = 0x77616C6B
 # a biased step gives up rejection after this many rounds (see below)
@@ -172,10 +190,9 @@ def generate_walk_corpus(g: CitationGraph, params: SamplingParams,
     """
     if strategy not in ("uniform", "biased"):
         raise ValueError(f"unknown walk strategy: {strategy!r}")
-    corpus = WalkCorpus(strategy=strategy, params=asdict(params))
+    t0 = time.perf_counter()
     n, indptr, indices = g.n, g.adj_indptr, g.adj_indices
     deg = g.degrees
-    n_live = int(np.count_nonzero(deg))
     # u*n + w for every w in Adj(u): sorted, as CSR rows are, so adjacency
     # is one searchsorted
     keys = np.repeat(np.arange(n, dtype=np.int64) * n, deg) + indices
@@ -205,22 +222,24 @@ def generate_walk_corpus(g: CitationGraph, params: SamplingParams,
             nxt[i] = nbrs[_draw(rng, probs)]
         return nxt
 
+    orders = np.array([_order_rng(params.seed, it).permutation(n)
+                       for it in range(params.n)])
+    live = deg[orders] > 0
+    offsets = np.concatenate([[0], np.cumsum(np.where(live, params.t + 1, 1))])
+    tokens = np.empty(offsets[-1], dtype=np.int64)
+    starts = offsets[:-1].reshape(orders.shape)
+    tokens[starts] = orders
     for it in range(params.n):
-        order = _order_rng(params.seed, it).permutation(n)
         rng = _pass_rng(params.seed, it)
-        walks = np.empty((n_live, params.t + 1), dtype=np.int64)
-        walks[:, 0] = order[deg[order] > 0]
+        # the live walkers' current positions in tokens
+        at = starts[it][live[it]]
         for step in range(1, params.t + 1):
+            at += 1
             if strategy == "biased" and step >= 2:
-                walks[:, step] = biased_step(walks[:, step - 2],
-                                             walks[:, step - 1], rng)
+                tokens[at] = biased_step(tokens[at - 2], tokens[at - 1], rng)
             else:
-                walks[:, step] = uniform_step(walks[:, step - 1], rng)
-        rows = iter(walks)
-        corpus.sequences.extend(
-            next(rows) if deg[v] else np.array([v], dtype=np.int64)
-            for v in order.tolist())
-    return corpus
+                tokens[at] = uniform_step(tokens[at - 1], rng)
+    return _logged(WalkCorpus(tokens, offsets, strategy, asdict(params)), t0)
 
 
 def cocitation_corpus(g: CitationGraph, n, seed=0):
@@ -229,13 +248,18 @@ def cocitation_corpus(g: CitationGraph, n, seed=0):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    corpus = WalkCorpus(strategy="cocit", params={"n": n, "seed": seed})
+    t0 = time.perf_counter()
+    indptr, indices = g.ref_indptr, g.ref_indices
+    counts = np.diff(indptr)
+    row = np.repeat(np.arange(g.n), counts)
+    tokens = np.empty((n, indices.size), dtype=np.int64)
+    lines = []
     for it in range(n):
         order = _order_rng(seed, it).permutation(g.n)
-        for v in order:
-            refs = g.refs(int(v))
-            if refs.size == 0:
-                continue
-            rng = _walk_rng(seed, it, int(v))
-            corpus.sequences.append(rng.permutation(refs))
-    return corpus
+        lines.append(order[counts[order] > 0])
+        key = _pass_rng(seed, it).random(indices.size)
+        shuffled = indices[np.lexsort((key, row))]
+        tokens[it] = csr_gather(indptr, shuffled, lines[-1])[0]
+    offsets = np.concatenate([[0], np.cumsum(counts[np.concatenate(lines)])])
+    return _logged(WalkCorpus(tokens.ravel(), offsets, "cocit",
+                              {"n": n, "seed": seed}), t0)

@@ -2,6 +2,15 @@ import numpy as np
 import pytest
 
 from citerec.graph import CitationGraph
+from citerec.sampling import WalkCorpus
+
+
+def corpus_of(lines, strategy="", params=None):
+    """The flat ``WalkCorpus`` of a list of node-index lines."""
+    lengths = [len(line) for line in lines]
+    tokens = np.array([i for line in lines for i in line], dtype=np.int64)
+    offsets = np.cumsum([0, *lengths], dtype=np.int64)
+    return WalkCorpus(tokens, offsets, strategy, dict(params or {}))
 
 
 @pytest.fixture

@@ -9,22 +9,44 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citerec.graph import CitationGraph
-from citerec.sampling import (SamplingParams, WalkCorpus, cocitation_corpus,
+from citerec.sampling import (SamplingParams, cocitation_corpus,
                               generate_walk_corpus)
 from citerec.embedding import (EmbeddingModel, TrainParams, TrainingError,
                                _block_windows, _noise_distribution, _sigmoid,
                                context_windows, exact_gradients, exact_loss,
-                               extract_windows, forward, init_model,
-                               load_model, save_model, softmax, train)
-from .conftest import make_planted_graph
+                               forward, init_model, load_model, save_model,
+                               softmax, train)
+from .conftest import corpus_of, make_planted_graph
 
 
 def chain_graph(n):
     return CitationGraph.from_edges([(f"n{i}", f"n{i+1}") for i in range(n - 1)])
 
 
-def corpus_of(lines):
-    return WalkCorpus(sequences=[np.array(l, dtype=np.int64) for l in lines])
+def extract_windows(sequences, w):
+    """Yield (target, context array) for every position of every sequence.
+
+    Context is the symmetric window of half-width w around the target,
+    target excluded, duplicates kept.  Positions with an empty context are
+    skipped.  This is the reference for ``context_windows``, which returns
+    the same windows as flat arrays and is what ``train`` uses.
+    """
+    if w < 1:
+        raise ValueError("window must be >= 1")
+    for seq in sequences:
+        seq = np.asarray(seq)
+        ln = len(seq)
+        if ln < 2:
+            continue
+        for i in range(ln):
+            lo = max(0, i - w)
+            ctx = np.concatenate([seq[lo:i], seq[i + 1:i + w + 1]])
+            if ctx.size:
+                yield int(seq[i]), ctx
+
+
+def corpus_windows(corpus, w):
+    return context_windows(corpus.tokens, corpus.offsets, w)
 
 
 def test_extract_windows_basic():
@@ -48,7 +70,7 @@ def test_extract_windows_keeps_duplicates():
 @given(st.lists(st.lists(st.integers(0, 6), max_size=12), max_size=8),
        st.integers(1, 14))
 def test_context_windows_match_extract_windows(sequences, w):
-    targets, context, offsets = context_windows(sequences, w)
+    targets, context, offsets = corpus_windows(corpus_of(sequences), w)
     expected = list(extract_windows(sequences, w))
     assert targets.dtype == context.dtype == np.int32
     assert offsets.dtype == np.int64
@@ -63,7 +85,7 @@ def test_context_windows_span_chunks():
     # more windows than one chunk holds at w=3, with ragged sequences
     rng = np.random.default_rng(0)
     seqs = [rng.integers(0, 50, size=rng.integers(0, 30)) for _ in range(2000)]
-    targets, context, offsets = context_windows(seqs, 3)
+    targets, context, offsets = corpus_windows(corpus_of(seqs), 3)
     expected = list(extract_windows(seqs, 3))
     assert targets.tolist() == [t for t, _ in expected]
     assert context.tolist() == np.concatenate([c for _, c in expected]).tolist()
@@ -165,12 +187,12 @@ def test_neg_empty_corpus_is_training_error():
 
 
 def test_noise_distribution_counts_every_token():
-    seqs = [[0, 3, 3], np.array([3, 1], dtype=np.int32), [], [4]]
+    seqs = [[0, 3, 3], [3, 1], [], [4]]
     freq = np.zeros(6)
     for seq in seqs:
         np.add.at(freq, np.asarray(seq, dtype=np.int64), 1.0)
     want = freq ** 0.75 / (freq ** 0.75).sum()
-    got = _noise_distribution(seqs, 6)
+    got = _noise_distribution(corpus_of(seqs).tokens, 6)
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -215,7 +237,7 @@ def reference_train(m, corpus, params):
     w_in, w_out = m.w_in, m.w_out
     block = _block_windows(params)
     if params.mode == "neg":
-        noise_cdf = np.cumsum(_noise_distribution(corpus.sequences, m.n))
+        noise_cdf = np.cumsum(_noise_distribution(corpus.tokens, m.n))
         labels = np.zeros(params.negatives + 1)
         labels[0] = 1.0
     total = max(params.epochs * len(windows), 1)
@@ -268,10 +290,9 @@ def reference_corpora():
     walks = generate_walk_corpus(
         g, SamplingParams(n=1, t=10, p=0.25, q=4.0, seed=3), strategy="biased")
     # short lines: one without a window, and two shorter than the window
-    short = [np.array(s, dtype=np.int64) for s in ([4], [7, 9], [3, 5, 3])]
-    cocit.sequences += short
-    walks.sequences += short
-    return g, {"cocit": cocit, "biased": walks}
+    short = [[4], [7, 9], [3, 5, 3]]
+    return g, {kind: corpus_of([*c.sequences, *short], c.strategy, c.params)
+               for kind, c in (("cocit", cocit), ("biased", walks))}
 
 
 @pytest.mark.parametrize("mode", ["exact", "neg"])
@@ -281,7 +302,7 @@ def test_train_byte_identical_to_reference(mode, kind):
     corpus = corpora[kind]
     # dim 16 puts about two blocks in each epoch
     params = TrainParams(dim=16, window=5, epochs=3, mode=mode, seed=4)
-    n_windows = context_windows(corpus.sequences, params.window)[0].size
+    n_windows = corpus_windows(corpus, params.window)[0].size
     assert n_windows > _block_windows(params)
     if kind == "biased":
         assert any(len(np.unique(s)) < len(s) for s in corpus.sequences)
@@ -304,7 +325,7 @@ def test_train_neg_applies_target_drawn_as_own_negative():
     # 1/2 and every output slot adds -lr * (1/2 - label) * h
     rng = np.random.default_rng([params.seed, 0x7472])
     order = rng.permutation(2)
-    negs = np.searchsorted(np.cumsum(_noise_distribution([[0, 1]], 2)),
+    negs = np.searchsorted(np.cumsum(_noise_distribution(np.array([0, 1]), 2)),
                            rng.random((2, params.negatives)))
     assert any(int(w) in negs[j] for j, w in enumerate(order))
     want = np.zeros_like(m.w_out)
@@ -335,7 +356,7 @@ def test_train_logs_epoch_loss(mode, caplog):
     g, corpora = reference_corpora()
     corpus = corpora["cocit"]
     params = TrainParams(dim=8, window=5, epochs=2, mode=mode, seed=4)
-    n_windows = context_windows(corpus.sequences, params.window)[0].size
+    n_windows = corpus_windows(corpus, params.window)[0].size
     ref_losses = reference_train(init_model(g, params), corpus, params)
     with caplog.at_level(logging.INFO, logger="citerec.embedding"):
         train(init_model(g, params), corpus, params)

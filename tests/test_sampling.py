@@ -1,3 +1,6 @@
+import itertools
+import logging
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,28 @@ from citerec.graph import YEAR_UNKNOWN, CitationGraph, GraphError
 from citerec.sampling import (SamplingParams, WalkCorpus, cocitation_corpus,
                               generate_walk_corpus, random_walk,
                               transition_probs, _draw, _order_rng)
+from .conftest import corpus_of
+
+
+def assert_flat(corpus):
+    """The flat form's invariants, and the per-line views that
+    ``sequences`` gives."""
+    tokens, offsets = corpus.tokens, corpus.offsets
+    assert tokens.dtype == offsets.dtype == np.int64
+    assert offsets[0] == 0 and offsets[-1] == tokens.size
+    assert (np.diff(offsets) >= 0).all()
+    bounds = offsets.tolist()
+    assert [s.tolist() for s in corpus.sequences] == [
+        tokens[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+
+
+def assert_roundtrip(corpus, g, path):
+    corpus.save(path, g)
+    loaded = WalkCorpus.load(path, g)
+    assert_flat(loaded)
+    assert np.array_equal(loaded.tokens, corpus.tokens)
+    assert np.array_equal(loaded.offsets, corpus.offsets)
+    return loaded
 
 
 def star_graph(leaves=4):
@@ -168,13 +193,16 @@ def test_corpus_deterministic_files(tmp_path):
 
 
 @pytest.mark.parametrize("strategy", ["uniform", "biased"])
-def test_walk_corpus_identical_across_calls(strategy):
+def test_walk_corpus_identical_across_calls(strategy, tmp_path):
     g = kite_graph()
     params = SamplingParams(n=3, t=15, p=0.5, q=2.0, seed=21)
     a = generate_walk_corpus(g, params, strategy)
     b = generate_walk_corpus(g, params, strategy)
     assert [s.tolist() for s in a.sequences] == [s.tolist() for s in b.sequences]
     assert all(s.dtype == np.int64 for s in a.sequences)
+    assert_flat(a)
+    assert np.array_equal(a.offsets, b.offsets)
+    assert_roundtrip(a, g, tmp_path / "c.txt")
     c = generate_walk_corpus(g, SamplingParams(n=3, t=15, p=0.5, q=2.0,
                                                seed=22), strategy)
     assert [s.tolist() for s in a.sequences] != [s.tolist() for s in c.sequences]
@@ -217,6 +245,50 @@ def test_cocitation_every_line_is_some_reference_list():
         assert tuple(sorted(int(i) for i in seq)) in ref_lists
     n_with_refs = sum(1 for v in range(g.n) if len(g.refs(v)))
     assert len(corpus) == 4 * n_with_refs
+
+
+def test_cocitation_shuffle_law():
+    # each of a reference list's 3! orders is equally likely, and the two
+    # lists of one pass are shuffled independently
+    g = CitationGraph.from_edges([("A", r) for r in "BCD"]
+                                 + [("E", r) for r in "FGH"])
+    passes = 3000
+    corpus = cocitation_corpus(g, passes, seed=11)
+    assert len(corpus) == 2 * passes
+    a_refs, e_refs = (g.refs(g.index_of(p)).tolist() for p in "AE")
+    perms = list(itertools.permutations(range(3)))
+    joint = np.zeros((6, 6))
+    seqs = [s.tolist() for s in corpus.sequences]
+    for x, y in zip(seqs[::2], seqs[1::2]):
+        if sorted(x) != a_refs:
+            x, y = y, x
+        assert sorted(x) == a_refs and sorted(y) == e_refs
+        joint[perms.index(tuple(a_refs.index(i) for i in x)),
+              perms.index(tuple(e_refs.index(i) for i in y))] += 1
+
+    def worst_z(counts, p):
+        return np.abs((counts - passes * p)
+                      / np.sqrt(passes * p * (1 - p))).max()
+
+    for counts, p in ((joint.sum(axis=1), 1 / 6), (joint.sum(axis=0), 1 / 6),
+                      (joint.ravel(), 1 / 36)):
+        assert worst_z(counts, p) < 4.5, counts
+
+
+def test_corpus_logs_strategy_passes_lines_tokens_seconds(caplog):
+    # A cites two papers and D one; Z is isolated, so 4 of 5 roots are live
+    g = CitationGraph.from_edges([("A", "B"), ("A", "C"), ("D", "C")],
+                                 years={"Z": 2000})
+    with caplog.at_level(logging.INFO, logger="citerec.sampling"):
+        cocitation_corpus(g, 2, seed=1)
+        generate_walk_corpus(g, SamplingParams(n=3, t=4), "biased")
+    msgs = [r.getMessage() for r in caplog.records
+            if r.name == "citerec.sampling"]
+    assert len(msgs) == 2
+    assert re.fullmatch(r"cocit corpus: 2 passes, 4 lines, 6 tokens, "
+                        r"\d+\.\d{3} s", msgs[0]), msgs[0]
+    assert re.fullmatch(r"biased corpus: 3 passes, 15 lines, 63 tokens, "
+                        r"\d+\.\d{3} s", msgs[1]), msgs[1]
 
 
 def test_corpus_save_load_roundtrip(tmp_path):
@@ -267,12 +339,11 @@ def test_corpus_roundtrip_property(ids, data):
         max_size=6))
     params = data.draw(st.dictionaries(
         st.sampled_from(["n", "t", "p", "q", "seed"]), st.integers(0, 99)))
-    corpus = WalkCorpus([np.array(s, dtype=np.int64) for s in seqs],
-                        data.draw(st.sampled_from(["uniform", "biased", "cocit"])),
-                        params)
+    corpus = corpus_of(
+        seqs, data.draw(st.sampled_from(["uniform", "biased", "cocit"])), params)
+    assert_flat(corpus)
     with tempfile.TemporaryDirectory() as d:
-        corpus.save(Path(d) / "c.txt", g)
-        loaded = WalkCorpus.load(Path(d) / "c.txt", g)
+        loaded = assert_roundtrip(corpus, g, Path(d) / "c.txt")
     assert loaded.strategy == corpus.strategy
     # header values come back as text
     assert loaded.params == {k: str(v) for k, v in params.items()}
