@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .graph import CitationGraph, load_graph
-from .sampling import (SamplingParams, WalkCorpus, random_walk,
+from .sampling import (SamplingParams, WalkCorpus,
                        generate_walk_corpus, cocitation_corpus)
 from .embedding import (TrainParams, EmbeddingModel, init_model, train,
                         forward, save_model, load_model)

@@ -89,9 +89,6 @@ class EmbeddingModel:
         except KeyError:
             raise KeyError(f"paper id not in vocabulary: {token!r}") from None
 
-    def vector(self, token):
-        return self.w_in[self.index_of(token)]
-
 
 def init_model(g: CitationGraph, params: TrainParams):
     """W_in ~ U(-0.5/d, 0.5/d) from the seeded RNG, W_out all zeros."""
@@ -151,9 +148,8 @@ def softmax(logits):
 
 
 def forward(m: EmbeddingModel, context):
-    """Probability of every paper given a context (indices or tokens)."""
-    rows = np.array([m.index_of(c) if isinstance(c, str) else int(c)
-                     for c in np.atleast_1d(np.asarray(context, dtype=object))])
+    """Probability of every paper given a context of model rows."""
+    rows = np.atleast_1d(np.asarray(context, dtype=np.int64))
     if rows.size == 0:
         raise ValueError("context must be non-empty")
     if rows.min() < 0 or rows.max() >= m.n:

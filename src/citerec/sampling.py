@@ -1,6 +1,10 @@
 """Neighborhood construction: uniform walks, second-order biased walks and
 co-citation reference lists.
 
+The (p, q) step weight is defined once, in ``_step_weights``; the
+rejection rounds of the walk sampler and ``transition_probs``, the
+one-state law and the sampler's exact fallback, both call it.
+
 Every corpus is a pure function of (graph, parameters, seed), and every
 pass draws from one RNG stream derived from (seed, pass index).  A walk
 pass steps all its walkers together, one array operation per step, so the
@@ -114,53 +118,36 @@ def _logged(corpus, t0):
     return corpus
 
 
+def _step_weights(keys, n, prev, x, p, q):
+    """Unnormalised (p, q) weight of stepping to x, arrived from prev: 1/p
+    back to prev, 1 to a neighbour of prev, 1/q further out.  ``keys``
+    holds u*n + w for edges (u, w), sorted, so adjacency is one
+    searchsorted; it may be empty (an isolated prev)."""
+    key = prev * n + x
+    hit = (keys[np.minimum(keys.searchsorted(key), keys.size - 1)] == key
+           if keys.size else False)
+    return np.where(x == prev, 1 / p, np.where(hit, 1.0, 1 / q))
+
+
 def transition_probs(g: CitationGraph, prev, cur, p, q):
     """Second-order next-step distribution over Adj(cur), arrived from prev.
 
-    Returns (neighbor indices, probabilities).  Distances from prev are
-    resolved locally: 0 iff the candidate is prev itself, 1 iff it is
-    adjacent to prev, else 2.
+    Returns (neighbor indices, probabilities).  This is the one-state law of
+    a biased step; the walk sampler draws from it when rejection gives up.
     """
     indptr, indices = g.adj_indptr, g.adj_indices
     nbrs = indices[indptr[cur]:indptr[cur + 1]]
     if nbrs.size == 0:
         return nbrs, np.zeros(0)
-    w = np.full(nbrs.size, 1.0 / q)
-    prev_adj = indices[indptr[prev]:indptr[prev + 1]]
-    if prev_adj.size:
-        pos = prev_adj.searchsorted(nbrs)
-        np.minimum(pos, prev_adj.size - 1, out=pos)
-        w[prev_adj[pos] == nbrs] = 1.0
-    w[nbrs == prev] = 1.0 / p
-    w /= w.sum()
-    return nbrs, w
-
-
-def _draw(rng, probs):
-    return int(probs.cumsum().searchsorted(rng.random(), "right"))
-
-
-def random_walk(g: CitationGraph, v, t, rng):
-    """Uniform walk of up to t steps rooted at node index v.
-
-    Stops early at a node with no neighbors.
-    """
-    walk = np.empty(t + 1, dtype=np.int64)
-    walk[0] = v
-    cur = v
-    for step in range(1, t + 1):
-        nbrs = g.adj(cur)
-        if nbrs.size == 0:
-            return walk[:step]
-        cur = int(nbrs[rng.integers(nbrs.size)])
-        walk[step] = cur
-    return walk
+    prev_keys = prev * g.n + indices[indptr[prev]:indptr[prev + 1]]
+    w = _step_weights(prev_keys, g.n, prev, nbrs, p, q)
+    return nbrs, w / w.sum()
 
 
 # tags keep a pass's node-order stream apart from its step and key stream
 _ORDER_TAG = 0x6F726465
 _PASS_TAG = 0x77616C6B
-# a biased step gives up rejection after this many rounds (see below)
+# a biased step gives up rejection after this many rounds
 _REJECTION_ROUNDS = 32
 
 
@@ -172,6 +159,44 @@ def _pass_rng(seed, pass_idx):
     return np.random.default_rng([seed, _PASS_TAG, pass_idx])
 
 
+def _edge_keys(g: CitationGraph):
+    """u*n + w for every w in Adj(u): sorted, as CSR rows are."""
+    return np.repeat(np.arange(g.n, dtype=np.int64) * g.n,
+                     g.degrees) + g.adj_indices
+
+
+def _uniform_steps(g: CitationGraph, cur, rng):
+    """One uniform step for each walker at cur (none isolated)."""
+    start = g.adj_indptr[cur]
+    return g.adj_indices[start + rng.integers(g.adj_indptr[cur + 1] - start)]
+
+
+def _biased_steps(g: CitationGraph, keys, prev, cur, p, q, rng):
+    """One (p, q)-biased step for each walker at (prev, cur), by rejection
+    (KnightKing): propose x uniform over Adj(cur) and accept it with
+    probability _step_weights / max(1/p, 1, 1/q); walkers that reject
+    draw again.  A walker still rejecting after _REJECTION_ROUNDS rounds
+    draws from :func:`transition_probs` itself, so an extreme p or q, whose
+    acceptance rate at some states is tiny, costs a bounded number of
+    rounds.  A draw accepted in any round already follows that law, so the
+    mix stays exact.  ``keys`` is ``_edge_keys(g)``."""
+    nxt = np.empty_like(cur)
+    todo = np.arange(cur.size)
+    bound = max(1 / p, 1.0, 1 / q)
+    for _ in range(_REJECTION_ROUNDS):
+        if not todo.size:
+            return nxt
+        x = _uniform_steps(g, cur[todo], rng)
+        alpha = _step_weights(keys, g.n, prev[todo], x, p, q)
+        ok = rng.random(todo.size) * bound < alpha
+        nxt[todo[ok]] = x[ok]
+        todo = todo[~ok]
+    for i in todo.tolist():
+        nbrs, probs = transition_probs(g, prev[i], cur[i], p, q)
+        nxt[i] = nbrs[probs.cumsum().searchsorted(rng.random(), "right")]
+    return nxt
+
+
 def generate_walk_corpus(g: CitationGraph, params: SamplingParams,
                          strategy="uniform"):
     """n passes over the graph, one walk rooted at every node per pass.
@@ -179,52 +204,15 @@ def generate_walk_corpus(g: CitationGraph, params: SamplingParams,
     Node order is reshuffled each pass, and a pass's walks come out in that
     order; an isolated root gives a one-node walk.  ``strategy`` selects the
     uniform or the (p, q)-biased step law.  All walkers of a pass advance
-    together.  A biased step after the first is drawn by rejection
-    (KnightKing): propose x uniform over Adj(cur) and accept it with
-    probability alpha(x) / max(1/p, 1, 1/q), where alpha is the unnormalised
-    weight of :func:`transition_probs`; walkers that reject draw again.
-    A walker still rejecting after _REJECTION_ROUNDS rounds draws from
-    :func:`transition_probs` itself, so an extreme p or q, whose acceptance
-    rate at some states is tiny, costs a bounded number of rounds.  A draw
-    accepted in any round already follows that law, so the mix stays exact.
+    together; a biased step after the first is :func:`_biased_steps`.
     """
     if strategy not in ("uniform", "biased"):
         raise ValueError(f"unknown walk strategy: {strategy!r}")
     t0 = time.perf_counter()
-    n, indptr, indices = g.n, g.adj_indptr, g.adj_indices
-    deg = g.degrees
-    # u*n + w for every w in Adj(u): sorted, as CSR rows are, so adjacency
-    # is one searchsorted
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, deg) + indices
-    bound = max(1 / params.p, 1.0, 1 / params.q)
-
-    def uniform_step(cur, rng):
-        return indices[indptr[cur] + rng.integers(deg[cur])]
-
-    def biased_step(prev, cur, rng):
-        nxt = np.empty_like(cur)
-        todo = np.arange(cur.size)
-        for _ in range(_REJECTION_ROUNDS):
-            if not todo.size:
-                return nxt
-            x = uniform_step(cur[todo], rng)
-            pv = prev[todo]
-            key = pv * n + x
-            hit = keys[np.minimum(keys.searchsorted(key), keys.size - 1)] == key
-            alpha = np.where(x == pv, 1 / params.p,
-                             np.where(hit, 1.0, 1 / params.q))
-            ok = rng.random(todo.size) * bound < alpha
-            nxt[todo[ok]] = x[ok]
-            todo = todo[~ok]
-        for i in todo.tolist():
-            nbrs, probs = transition_probs(g, prev[i], cur[i],
-                                           params.p, params.q)
-            nxt[i] = nbrs[_draw(rng, probs)]
-        return nxt
-
-    orders = np.array([_order_rng(params.seed, it).permutation(n)
+    keys = _edge_keys(g) if strategy == "biased" else None
+    orders = np.array([_order_rng(params.seed, it).permutation(g.n)
                        for it in range(params.n)])
-    live = deg[orders] > 0
+    live = g.degrees[orders] > 0
     offsets = np.concatenate([[0], np.cumsum(np.where(live, params.t + 1, 1))])
     tokens = np.empty(offsets[-1], dtype=np.int64)
     starts = offsets[:-1].reshape(orders.shape)
@@ -236,9 +224,11 @@ def generate_walk_corpus(g: CitationGraph, params: SamplingParams,
         for step in range(1, params.t + 1):
             at += 1
             if strategy == "biased" and step >= 2:
-                tokens[at] = biased_step(tokens[at - 2], tokens[at - 1], rng)
+                tokens[at] = _biased_steps(g, keys, tokens[at - 2],
+                                           tokens[at - 1], params.p,
+                                           params.q, rng)
             else:
-                tokens[at] = uniform_step(tokens[at - 1], rng)
+                tokens[at] = _uniform_steps(g, tokens[at - 1], rng)
     return _logged(WalkCorpus(tokens, offsets, strategy, asdict(params)), t0)
 
 

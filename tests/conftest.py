@@ -13,6 +13,23 @@ def corpus_of(lines, strategy="", params=None):
     return WalkCorpus(tokens, offsets, strategy, dict(params or {}))
 
 
+def independent_pi(g, prev, cur, p, q):
+    """Transition law computed from the bias-case definition directly."""
+    nbrs = g.adj(cur)
+    prev_adj = set(int(x) for x in g.adj(prev))
+    weights = []
+    for x in nbrs:
+        x = int(x)
+        if x == prev:
+            weights.append(1.0 / p)
+        elif x in prev_adj:
+            weights.append(1.0)
+        else:
+            weights.append(1.0 / q)
+    w = np.array(weights)
+    return nbrs, w / w.sum()
+
+
 @pytest.fixture
 def toy_graph():
     # A cites B and C; B cites C

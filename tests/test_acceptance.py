@@ -10,8 +10,8 @@ import numpy as np
 
 from citerec.graph import CitationGraph
 from citerec.sampling import (SamplingParams, cocitation_corpus,
-                              generate_walk_corpus, random_walk,
-                              transition_probs, _draw)
+                              generate_walk_corpus, transition_probs,
+                              _biased_steps, _edge_keys, _uniform_steps)
 from citerec.embedding import (EmbeddingModel, TrainParams, exact_gradients,
                                exact_loss, init_model, train)
 from citerec.ranking import cit_mod, rank_scores, recommend, sim_avg, sim_ref
@@ -19,7 +19,8 @@ from citerec.baselines import PageRankParams, paperrank, cf_scores
 from citerec.evaluation import (ExperimentConfig, build_queries,
                                 check_no_time_leakage, recall_at_k,
                                 run_experiment, write_report)
-from .conftest import make_planted_graph, make_synthetic_citation_corpus_graph
+from .conftest import (independent_pi, make_planted_graph,
+                       make_synthetic_citation_corpus_graph)
 
 from .test_baselines import (cf_bruteforce_oracle, dense_paperrank_oracle,
                             incidence_fixture, two_triangle_graph)
@@ -74,40 +75,23 @@ def fixed_20_node_graph():
     return CitationGraph.from_edges([(f"v{u}", f"v{w}") for u, w in pairs])
 
 
-def independent_pi(g, prev, cur, p, q):
-    """Transition law computed from the bias-case definition directly."""
-    nbrs = g.adj(cur)
-    prev_adj = set(int(x) for x in g.adj(prev))
-    weights = []
-    for x in nbrs:
-        x = int(x)
-        if x == prev:
-            weights.append(1.0 / p)
-        elif x in prev_adj:
-            weights.append(1.0)
-        else:
-            weights.append(1.0 / q)
-    w = np.array(weights)
-    return nbrs, w / w.sum()
-
-
 def test_criterion_2_walk_law_fidelity():
     t0 = time.time()
     g = fixed_20_node_graph()
     draws = 100_000
     worst = 0.0
 
-    # uniform walk: empirical first-step law from the highest-degree node
+    # uniform step: empirical first-step law from the highest-degree node,
+    # drawn by the sampler's step function for a vector of walkers there
     v = int(np.argmax(g.degrees))
-    rng = np.random.default_rng(1)
-    counts = np.zeros(g.n)
-    for _ in range(draws):
-        counts[random_walk(g, v, 1, rng)[1]] += 1
+    steps = _uniform_steps(g, np.full(draws, v), np.random.default_rng(1))
+    counts = np.bincount(steps, minlength=g.n)
     uni_err = np.abs(counts[g.adj(v)] / draws - 1 / len(g.adj(v))).max()
     worst = max(worst, uni_err)
 
-    # biased walk over the (p, q) grid: exact law vs independent oracle at
+    # biased step over the (p, q) grid: exact law vs independent oracle at
     # every state, empirical draws through the sampler at one state
+    keys = _edge_keys(g)
     cur = v
     prev = int(g.adj(cur)[0])
     for p in (0.25, 1.0, 4.0):
@@ -118,10 +102,9 @@ def test_criterion_2_walk_law_fidelity():
                     _, pi = independent_pi(g, int(pv), c2, p, q)
                     assert np.abs(probs - pi).max() < 1e-12
             rng = np.random.default_rng([2, int(p * 100), int(q * 100)])
-            counts = np.zeros(g.n)
-            for _ in range(draws):
-                nbrs, probs = transition_probs(g, prev, cur, p, q)
-                counts[nbrs[_draw(rng, probs)]] += 1
+            steps = _biased_steps(g, keys, np.full(draws, prev),
+                                  np.full(draws, cur), p, q, rng)
+            counts = np.bincount(steps, minlength=g.n)
             _, pi = independent_pi(g, prev, cur, p, q)
             err = np.abs(counts[g.adj(cur)] / draws - pi).max()
             worst = max(worst, err)

@@ -122,8 +122,9 @@ def test_forward_normalization_and_shift_invariance():
 
 def test_forward_unknown_id_errors():
     m = EmbeddingModel(["a"], np.ones((1, 2)), np.zeros((1, 2)))
-    with pytest.raises(KeyError):
-        forward(m, ["z"])
+    for rows in ([1], [-1], [0, 1]):
+        with pytest.raises(KeyError):
+            forward(m, rows)
 
 
 def test_init_model_contract():

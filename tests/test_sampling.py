@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from citerec.graph import YEAR_UNKNOWN, CitationGraph, GraphError
 from citerec.sampling import (SamplingParams, WalkCorpus, cocitation_corpus,
-                              generate_walk_corpus, random_walk,
-                              transition_probs, _draw, _order_rng)
-from .conftest import corpus_of
+                              generate_walk_corpus, transition_probs,
+                              _order_rng)
+from .conftest import corpus_of, independent_pi
 
 
 def assert_flat(corpus):
@@ -36,10 +36,6 @@ def assert_roundtrip(corpus, g, path):
     return loaded
 
 
-def star_graph(leaves=4):
-    return CitationGraph.from_edges([("C", f"L{i}") for i in range(leaves)])
-
-
 def test_sampling_params_validation():
     with pytest.raises(ValueError):
         SamplingParams(n=0)
@@ -57,27 +53,23 @@ def test_sampling_params_validation():
 
 def test_walk_on_single_edge_alternates():
     g = CitationGraph.from_edges([("A", "B")])
-    walk = random_walk(g, g.index_of("A"), 3, np.random.default_rng(0))
-    assert [g.ids[i] for i in walk] == ["A", "B", "A", "B"]
+    for strategy in ("uniform", "biased"):
+        corpus = generate_walk_corpus(g, SamplingParams(n=3, t=3, p=0.5),
+                                      strategy)
+        assert len(corpus) == 6
+        for walk in corpus.sequences:
+            names = [g.ids[i] for i in walk]
+            other = "B" if names[0] == "A" else "A"
+            assert names == [names[0], other] * 2, (strategy, names)
 
 
 def test_walk_stops_at_isolated_node():
     g = CitationGraph.from_edges([("A", "B")], years={"D": 2000})
-    walk = random_walk(g, g.index_of("D"), 5, np.random.default_rng(0))
-    assert [g.ids[i] for i in walk] == ["D"]
-
-
-def test_uniform_first_step_frequencies():
-    g = star_graph(4)
-    c = g.index_of("C")
-    rng = np.random.default_rng(42)
-    counts = np.zeros(g.n)
-    draws = 30_000
-    for _ in range(draws):
-        counts[random_walk(g, c, 1, rng)[1]] += 1
-    for leaf in range(4):
-        freq = counts[g.index_of(f"L{leaf}")] / draws
-        assert abs(freq - 0.25) < 0.015
+    d = g.index_of("D")
+    for strategy in ("uniform", "biased"):
+        corpus = generate_walk_corpus(g, SamplingParams(n=2, t=5), strategy)
+        walks = [w.tolist() for w in corpus.sequences if w[0] == d]
+        assert walks == [[d], [d]]
 
 
 def triangle_with_pendant():
@@ -156,7 +148,7 @@ def test_lockstep_walk_law_matches_transition_probs(p, q):
             after.setdefault((prev, cur), np.zeros(g.n))[nxt] += 1
     laws = [(first[v], g.adj(v), np.full(g.degree(v), 1 / g.degree(v)))
             for v in range(g.n) if g.degree(v)]
-    laws += [(counts, *transition_probs(g, prev, cur, p, q))
+    laws += [(counts, *independent_pi(g, prev, cur, p, q))
              for (prev, cur), counts in after.items()]
     # every (prev, cur) state the walks can reach was visited
     assert len(after) == g.degrees.sum()
@@ -349,10 +341,3 @@ def test_corpus_roundtrip_property(ids, data):
     assert loaded.params == {k: str(v) for k, v in params.items()}
     assert [s.tolist() for s in loaded.sequences] == seqs
     assert all(s.dtype == np.int64 for s in loaded.sequences)
-
-
-def test_draw_respects_distribution():
-    rng = np.random.default_rng(0)
-    probs = np.array([0.1, 0.6, 0.3])
-    counts = np.bincount([_draw(rng, probs) for _ in range(20000)], minlength=3)
-    assert np.allclose(counts / 20000, probs, atol=0.02)
