@@ -133,7 +133,7 @@ def cmd_evaluate(args):
         graphs[y] = g.time_slice(y)
         if embedding_needed:
             corpus = _sample_corpus(graphs[y], args.strategy, args.n,
-                                    args.seed, t=args.t)
+                                    args.seed, t=args.t, p=args.p, q=args.q)
             models[y] = train(init_model(graphs[y], tparams), corpus, tparams)
     records, aggregates = run_experiment(
         g, cfg, graphs, models, queries_by_ratio=queries_by_ratio)
@@ -201,6 +201,13 @@ def _add_graph_args(p):
     p.add_argument("--nodes", default=None, help="node-year file")
 
 
+def _add_walk_args(p):
+    p.add_argument("--n", type=int, default=10, help="passes over the graph")
+    p.add_argument("--t", type=int, default=80, help="walk length")
+    p.add_argument("--p", type=float, default=1.0, help="return parameter")
+    p.add_argument("--q", type=float, default=1.0, help="in-out parameter")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="citerec",
@@ -223,10 +230,7 @@ def build_parser():
     p = sub.add_parser("sample", help="generate a walk / co-citation corpus")
     _add_graph_args(p)
     p.add_argument("--strategy", choices=STRATEGIES, default="uniform")
-    p.add_argument("--n", type=int, default=10, help="passes over the graph")
-    p.add_argument("--t", type=int, default=80, help="walk length")
-    p.add_argument("--p", type=float, default=1.0, help="return parameter")
-    p.add_argument("--q", type=float, default=1.0, help="in-out parameter")
+    _add_walk_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_sample)
@@ -268,8 +272,7 @@ def build_parser():
     p.add_argument("--k-values", default="10,25,50,100")
     p.add_argument("--methods", default=",".join(ALL_METHODS))
     p.add_argument("--strategy", choices=STRATEGIES, default="cocit")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--t", type=int, default=80)
+    _add_walk_args(p)
     p.add_argument("--dim", type=int, default=128)
     p.add_argument("--window", type=int, default=10)
     p.add_argument("--epochs", type=int, default=5)

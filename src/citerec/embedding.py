@@ -341,14 +341,44 @@ def save_model(m: EmbeddingModel, path_in):
 
 
 def _load_matrix(path):
+    """The ids and the ``N x d`` matrix of one model file.
+
+    The value block is parsed by one ``np.loadtxt`` call, which splits on
+    the same whitespace as ``str.split``.  It reads fewer spellings than
+    ``float()`` (no ``1_0``, no non-ASCII digits), so when it fails, or its
+    result is not a finite ``(N, d)`` block of unique ids,
+    ``_parse_rows`` parses the file line by line: it raises the first bad
+    line's ``path:line`` error or returns what ``float()`` reads.
+    """
     lines = text_lines(path)
     lineno, header = next(lines, (1, ""))
     try:
         n, d = (int(x) for x in header.split())
     except ValueError:
         raise ValueError(f"{path}:{lineno}: expected header '<N> <d>'") from None
+    body = list(lines)
+    # loadtxt warns on a block of no data, so an empty one is left to
+    # _parse_rows
+    if len(body) == n > 0 and d > 0:
+        pairs = [line.split(None, 1) for _, line in body]
+        ids = [pair[0] for pair in pairs]
+        if all(len(pair) == 2 for pair in pairs) and len(set(ids)) == n:
+            try:
+                mat = np.loadtxt([pair[1] for pair in pairs],
+                                 dtype=np.float64, ndmin=2, comments=None)
+            except ValueError:
+                pass
+            else:
+                if mat.shape == (n, d) and np.isfinite(mat).all():
+                    return ids, mat
+    return _parse_rows(path, body, n, d)
+
+
+def _parse_rows(path, body, n, d):
+    """``_load_matrix``'s per-line parse of the ``(line_number, line)``
+    pairs after the header: one ``float()`` per value."""
     ids, rows, linenos, seen = [], [], [], set()
-    for lineno, line in lines:
+    for lineno, line in body:
         parts = line.split()
         if len(parts) != d + 1:
             raise ValueError(
@@ -373,8 +403,14 @@ def _load_matrix(path):
 
 
 def load_model(path_in):
+    """The model pair written by ``save_model``; logs its path, shape and
+    seconds at INFO level."""
+    t0 = time.perf_counter()
     ids, w_in = _load_matrix(path_in)
     ids_out, w_out = _load_matrix(f"{path_in}.out")
     if ids != ids_out:
         raise ValueError("input/output matrix files disagree on vocabulary")
-    return EmbeddingModel(ids, w_in, w_out)
+    m = EmbeddingModel(ids, w_in, w_out)
+    log.info("model %s: %d rows x %d dims, %.3f s", path_in, m.n, m.dim,
+             time.perf_counter() - t0)
+    return m

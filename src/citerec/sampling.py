@@ -60,34 +60,42 @@ class WalkCorpus:
 
     @property
     def sequences(self):
-        """Each line as a view into ``tokens``."""
+        """Each line as a view into ``tokens``.  Nothing in the package reads
+        it; the benchmark's replay and checks do."""
         bounds = self.offsets.tolist()
         return [self.tokens[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def save(self, path, graph: CitationGraph):
         """Raises GraphError, before writing, for an id that would not read
         back: one holding whitespace, or one starting a line with '#'."""
-        spaced = {i for i, tok in enumerate(graph.ids) if not is_token(tok)}
-        hashed = {i for i, tok in enumerate(graph.ids) if tok.startswith("#")}
-        # only a graph with such ids needs the per-line scan
-        for seq in self.sequences if spaced or hashed else ():
-            seq = np.asarray(seq).tolist()
-            if seq and seq[0] in hashed:
-                raise GraphError(f"paper id {graph.ids[seq[0]]!r} starts with "
-                                 "'#' and cannot start a corpus line")
-            bad = spaced.intersection(seq)
-            if bad:
-                raise GraphError(f"paper id {graph.ids[min(bad)]!r} holds "
-                                 "whitespace and cannot be written to a "
-                                 "corpus file")
+        ids, tokens, offsets = graph.ids, self.tokens, self.offsets
+        spaced = [i for i, tok in enumerate(ids) if not is_token(tok)]
+        hashed = [i for i, tok in enumerate(ids) if tok.startswith("#")]
+        # only a graph with such ids needs the scan; the first bad line wins
+        if spaced or hashed:
+            bad_head = np.zeros(tokens.size, dtype=bool)
+            heads = offsets[:-1][np.diff(offsets) > 0]
+            bad_head[heads] = np.isin(tokens[heads], hashed)
+            bad_tok = np.isin(tokens, spaced)
+            bad = np.flatnonzero(bad_head | bad_tok)
+            if bad.size:
+                line = offsets.searchsorted(bad[0], "right") - 1
+                lo, hi = offsets[line], offsets[line + 1]
+                if bad_head[lo]:
+                    raise GraphError(f"paper id {ids[tokens[lo]]!r} starts "
+                                     "with '#' and cannot start a corpus line")
+                worst = tokens[lo:hi][bad_tok[lo:hi]].min()
+                raise GraphError(f"paper id {ids[worst]!r} holds whitespace "
+                                 "and cannot be written to a corpus file")
+        names = [ids[i] for i in tokens.tolist()]
+        bounds = offsets.tolist()
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"# strategy={self.strategy}")
             for k, v in self.params.items():
                 f.write(f" {k}={v}")
             f.write("\n")
-            for seq in self.sequences:
-                f.write(" ".join(graph.ids[i] for i in seq))
-                f.write("\n")
+            f.writelines(" ".join(names[a:b]) + "\n"
+                         for a, b in zip(bounds, bounds[1:]))
 
     @classmethod
     def load(cls, path, graph: CitationGraph):

@@ -3,6 +3,7 @@ import pytest
 
 from citerec import cli
 from citerec.cli import main, params_hash, read_config
+from citerec.sampling import SamplingParams, generate_walk_corpus
 from .conftest import make_synthetic_citation_corpus_graph
 
 
@@ -278,6 +279,27 @@ def test_evaluate_and_plotdata(dataset):
         "5,0.9,0.168750,0.031250\n"
         "10,0.1,0.375000,0.000000\n"
         "10,0.9,0.212500,0.062996\n")
+
+
+def test_evaluate_samples_with_walk_params(dataset, monkeypatch):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--nodes", str(nodes),
+          "--output", str(d / "g.npz")])
+    drawn = []
+
+    def recording(graph, params, strategy="uniform"):
+        drawn.append((strategy, params))
+        return generate_walk_corpus(graph, params, strategy)
+    monkeypatch.setattr(cli, "generate_walk_corpus", recording)
+    assert main(["evaluate", "--graph", str(d / "g.npz"), "--queries", "4",
+                 "--min-refs", "3", "--max-refs", "12",
+                 "--min-year", "2008", "--max-year", "2008",
+                 "--methods", "simavg", "--strategy", "biased",
+                 "--n", "1", "--t", "5", "--p", "0.5", "--q", "2",
+                 "--dim", "4", "--epochs", "1", "--seed", "3",
+                 "--output", str(d / "report.csv")]) == 0
+    assert drawn == [("biased", SamplingParams(n=1, t=5, p=0.5, q=2.0,
+                                               seed=3))]
 
 
 @pytest.mark.parametrize("flag,value,message", [

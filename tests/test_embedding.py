@@ -2,17 +2,20 @@ import logging
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citerec.graph import CitationGraph
+from citerec import embedding
+from citerec.graph import CitationGraph, text_lines
 from citerec.sampling import (SamplingParams, cocitation_corpus,
                               generate_walk_corpus)
 from citerec.embedding import (EmbeddingModel, TrainParams, TrainingError,
-                               _block_windows, _noise_distribution, _sigmoid,
+                               _block_windows, _load_matrix,
+                               _noise_distribution, _sigmoid,
                                context_windows, exact_gradients, exact_loss,
                                forward, init_model, load_model, save_model,
                                softmax, train)
@@ -490,6 +493,171 @@ def test_model_load_names_bad_line(tmp_path, text, message):
 # model ids are whitespace-separated tokens
 model_tokens = st.text(st.characters(exclude_categories=("Z", "C")),
                        min_size=1, max_size=6)
+
+
+def reference_load_matrix(path):
+    """One model file parsed line by line, one ``float()`` per value.  This
+    is the reference for ``_load_matrix``, which parses the value block in
+    one ``np.loadtxt`` call and must accept the same files, return the same
+    bits and raise the same errors."""
+    lines = text_lines(path)
+    lineno, header = next(lines, (1, ""))
+    try:
+        n, d = (int(x) for x in header.split())
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: expected header '<N> <d>'") from None
+    ids, rows, linenos, seen = [], [], [], set()
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != d + 1:
+            raise ValueError(
+                f"{path}:{lineno}: expected {d + 1} fields, found {len(parts)}")
+        if parts[0] in seen:
+            raise ValueError(f"{path}:{lineno}: repeated paper id {parts[0]!r}")
+        seen.add(parts[0])
+        ids.append(parts[0])
+        linenos.append(lineno)
+        try:
+            rows.append([float(x) for x in parts[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if len(ids) != n:
+        raise ValueError(
+            f"{path}: header declares {n} rows, found {len(ids)}")
+    mat = np.array(rows, dtype=np.float64).reshape(len(ids), d)
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
+    return ids, mat
+
+
+def read_both(path):
+    """``(ids, matrix)`` or the ``ValueError`` text, from ``_load_matrix``
+    and from the reference, with every warning an error."""
+    out = []
+    for read in (_load_matrix, reference_load_matrix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out.append(read(path))
+            except ValueError as exc:
+                out.append(str(exc))
+    return out
+
+
+def assert_same_read(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got[0] == want[0]
+    assert got[1].dtype == want[1].dtype == np.float64
+    assert got[1].shape == want[1].shape
+    # bit for bit: -0.0 and 0.0 differ here
+    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+
+
+# Python's whitespace, every one of which str.split separates on
+SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+              "\x85", "\xa0", "\u2003"]
+# float() reads each of these; some are not finite, some loadtxt rejects
+ODD_VALUES = ["-0", "5e-324", "1e400", "-1e400", "nan", "1_0", "+1.5", ".5",
+              "\u0661\u0662.\u0665", "1e-400", "Infinity", "1__0", "0x1"]
+SPELLINGS = [repr, "%.9g".__mod__, "%.17g".__mod__]
+
+
+def spelled(floats):
+    return st.builds(lambda spell, x: spell(x), st.sampled_from(SPELLINGS),
+                     floats)
+
+
+@st.composite
+def model_files(draw):
+    """The text of a model file: mostly what ``save_model`` could write,
+    with odd separators and value spellings, and sometimes damaged."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    ids = draw(st.lists(model_tokens, min_size=n, max_size=n, unique=True))
+    ascii_only = draw(st.booleans())
+    sep = st.text(st.sampled_from(SEPARATORS[:3] if ascii_only
+                                  else SEPARATORS), min_size=1, max_size=3)
+    value = spelled(st.floats(allow_nan=False, allow_infinity=False))
+    if draw(st.booleans()):
+        value = st.one_of(value, st.sampled_from(ODD_VALUES),
+                          spelled(st.floats()))
+    damage = draw(st.sampled_from(["none", "ragged", "duplicate", "count"]))
+    widths = [d] * n
+    if damage == "ragged":
+        widths[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-1, 1]))
+    if damage == "duplicate" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        ids[j] = ids[i]
+    header = f"{n + draw(st.sampled_from([-1, 1])) if damage == 'count' else n} {d}"
+    lines = [header]
+    for tok, width in zip(ids, widths):
+        fields = [tok] + draw(st.lists(value, min_size=width, max_size=width))
+        row = fields[0]
+        for f in fields[1:]:
+            row += draw(sep) + f
+        lines.append(draw(st.sampled_from(["", draw(sep)])) + row
+                     + draw(st.sampled_from(["", draw(sep)])))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", draw(sep)])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_files())
+def test_load_matrix_matches_per_line_reference(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.txt"
+        path.write_bytes(text.encode("utf-8"))
+        got, want = read_both(path)
+    assert_same_read(got, want)
+
+
+@pytest.mark.parametrize("text,shape", [
+    ("0 4\n", (0, 4)), ("2 0\na\nb\n", (2, 0)),
+    # no rows after a header that declares some: an error, not a warning
+    ("2 3\n", None), ("0 3\na 1 2 3\n", None)])
+def test_load_matrix_empty_block_matches_reference(tmp_path, text, shape):
+    (tmp_path / "m.txt").write_text(text)
+    got, want = read_both(tmp_path / "m.txt")
+    assert_same_read(got, want)
+    if shape is None:
+        assert "header declares" in got
+    else:
+        assert got[1].shape == shape
+
+
+def test_load_matrix_parses_save_model_file_in_one_block(tmp_path,
+                                                        monkeypatch):
+    rng = np.random.default_rng(5)
+    m = EmbeddingModel([f"n{i}" for i in range(9)], rng.normal(size=(9, 6)),
+                       rng.normal(size=(9, 6)))
+    save_model(m, tmp_path / "m.txt")
+    want = reference_load_matrix(tmp_path / "m.txt")
+
+    def no_fallback(*args):
+        raise AssertionError("per-line parse of a save_model file")
+    monkeypatch.setattr(embedding, "_parse_rows", no_fallback)
+    assert_same_read(_load_matrix(tmp_path / "m.txt"), want)
+    # a spelling loadtxt does not read takes the per-line parse
+    (tmp_path / "m.txt").write_text("1 2\na 1_0 2\n")
+    with pytest.raises(AssertionError, match="per-line parse"):
+        _load_matrix(tmp_path / "m.txt")
+
+
+def test_load_model_logs_path_shape_seconds(tmp_path, caplog):
+    save_model(EmbeddingModel(["a", "b", "c"], np.ones((3, 2)),
+                              np.zeros((3, 2))), tmp_path / "m.txt")
+    with caplog.at_level(logging.INFO, logger="citerec.embedding"):
+        load_model(tmp_path / "m.txt")
+    msgs = [r.getMessage() for r in caplog.records
+            if r.name == "citerec.embedding"]
+    assert len(msgs) == 1
+    assert re.fullmatch(re.escape(f"model {tmp_path / 'm.txt'}: 3 rows x 2 "
+                                  "dims, ") + r"\d+\.\d{3} s", msgs[0]), msgs
 
 
 @settings(max_examples=100, deadline=None)

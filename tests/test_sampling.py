@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citerec.graph import YEAR_UNKNOWN, CitationGraph, GraphError
+from citerec.graph import YEAR_UNKNOWN, CitationGraph, GraphError, is_token
 from citerec.sampling import (SamplingParams, WalkCorpus, cocitation_corpus,
                               generate_walk_corpus, transition_probs,
                               _order_rng)
@@ -341,3 +341,55 @@ def test_corpus_roundtrip_property(ids, data):
     assert loaded.params == {k: str(v) for k, v in params.items()}
     assert [s.tolist() for s in loaded.sequences] == seqs
     assert all(s.dtype == np.int64 for s in loaded.sequences)
+
+
+def reference_save(corpus, path, graph):
+    """``WalkCorpus.save`` written line by line over ``sequences``: the
+    reference for the flat-array writer, which must write the same bytes
+    and raise the same error."""
+    spaced = {i for i, tok in enumerate(graph.ids) if not is_token(tok)}
+    hashed = {i for i, tok in enumerate(graph.ids) if tok.startswith("#")}
+    for seq in corpus.sequences if spaced or hashed else ():
+        seq = np.asarray(seq).tolist()
+        if seq and seq[0] in hashed:
+            raise GraphError(f"paper id {graph.ids[seq[0]]!r} starts with "
+                             "'#' and cannot start a corpus line")
+        bad = spaced.intersection(seq)
+        if bad:
+            raise GraphError(f"paper id {graph.ids[min(bad)]!r} holds "
+                             "whitespace and cannot be written to a "
+                             "corpus file")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"# strategy={corpus.strategy}")
+        for k, v in corpus.params.items():
+            f.write(f" {k}={v}")
+        f.write("\n")
+        for seq in corpus.sequences:
+            f.write(" ".join(graph.ids[i] for i in seq))
+            f.write("\n")
+
+
+def saved(save, corpus, path, g):
+    """The bytes ``save`` writes, or its ``GraphError`` text."""
+    try:
+        save(corpus, path, g)
+    except GraphError as exc:
+        assert not path.exists()
+        return str(exc)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(corpus_tokens, st.sampled_from(
+           ["#a", "a b", "# c", " ", "d\te", "#"])),
+                min_size=1, max_size=8, unique=True),
+       st.data())
+def test_corpus_save_matches_per_line_reference(ids, data):
+    g = CitationGraph(ids, [YEAR_UNKNOWN] * len(ids), [], [])
+    lines = data.draw(st.lists(
+        st.lists(st.integers(0, len(ids) - 1), max_size=6), max_size=6))
+    corpus = corpus_of(lines, "biased", {"n": 1, "p": 0.5})
+    with tempfile.TemporaryDirectory() as d:
+        got = saved(WalkCorpus.save, corpus, Path(d) / "a.txt", g)
+        want = saved(reference_save, corpus, Path(d) / "b.txt", g)
+    assert got == want
