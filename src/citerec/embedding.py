@@ -356,6 +356,8 @@ def _load_matrix(path):
         n, d = (int(x) for x in header.split())
     except ValueError:
         raise ValueError(f"{path}:{lineno}: expected header '<N> <d>'") from None
+    if n < 0 or d < 0:
+        raise ValueError(f"{path}:{lineno}: negative count in header '<N> <d>'")
     body = list(lines)
     # loadtxt warns on a block of no data, so an empty one is left to
     # _parse_rows

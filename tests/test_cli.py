@@ -178,6 +178,20 @@ def test_recommend_rejects_non_finite_model_value(tmp_path, capsys):
     assert not (tmp_path / "rec.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["0 -1\n", "2 -1\na 1 0\nb 0 1\n",
+                                  "-1 3\n"])
+def test_recommend_rejects_negative_model_header(tmp_path, capsys, text):
+    model = tmp_path / "m.txt"
+    model.write_text(text)
+    (tmp_path / "m.txt.out").write_text(text)
+    assert main(["recommend", "--method", "simavg", "--seeds", "a",
+                 "--model", str(model),
+                 "--output", str(tmp_path / "rec.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}:1: negative count in header '<N> <d>'\n")
+    assert not (tmp_path / "rec.csv").exists()
+
+
 def ingest_edges(d, lines):
     (d / "edges.tsv").write_text("".join(f"{u}\t{w}\n" for u, w in lines))
     assert main(["ingest", "--edges", str(d / "edges.tsv"),

@@ -1,16 +1,20 @@
+import re
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from citerec import evaluation, ranking
 from citerec.graph import YEAR_UNKNOWN, CitationGraph
-from citerec.embedding import TrainParams, init_model
+from citerec.embedding import EmbeddingModel, TrainParams, init_model
 from citerec.evaluation import (ExperimentConfig, Query, build_queries,
                                 check_no_time_leakage, hidden_count,
                                 read_queries, recall_at_k, run_experiment,
                                 write_queries, write_report)
+from citerec.ranking import recommend
 from .conftest import make_synthetic_citation_corpus_graph
 
 
@@ -245,6 +249,146 @@ def test_run_experiment_counts_skipped_queries(caplog):
     assert [r.message for r in caplog.records] == [
         f"{len(victims)} of {len(queries)} queries skipped: "
         "no seed is in their slice"]
+
+
+def reference_run_experiment(cfg, graphs, models, queries_by_ratio):
+    """run_experiment's ranking as one serial loop: every method of every
+    query in walk order, on the calling thread."""
+    max_k = max(cfg.k_values)
+    records = []
+    for ratio, queries in sorted(queries_by_ratio.items()):
+        for qi, q in enumerate(queries):
+            sl = graphs[q.year - 1]
+            model = models.get(q.year - 1)
+            seeds = [s for s in q.seeds if s in sl]
+            if not seeds:
+                continue
+            for method in cfg.methods:
+                rng = (np.random.default_rng([cfg.seed, 0x72616E64, qi])
+                       if method == "random" else None)
+                ranked = recommend(method, seeds, max_k, model=model,
+                                   graph=sl, rng=rng)
+                rec = {"method": method, "hidden_ratio": ratio,
+                       "query_id": q.query_id, "year": q.year}
+                for k in cfg.k_values:
+                    rec[f"recall@{k}"] = recall_at_k(ranked, q.hidden, k)
+                records.append(rec)
+    aggregates = []
+    for ratio in sorted(queries_by_ratio):
+        for method in cfg.methods:
+            rows = [r for r in records
+                    if r["method"] == method and r["hidden_ratio"] == ratio]
+            for k in cfg.k_values:
+                mean = (sum(r[f"recall@{k}"] for r in rows) / len(rows)
+                        if rows else float("nan"))
+                aggregates.append({
+                    "method": method, "hidden_ratio": ratio, "k": k,
+                    "mean_recall": mean, "n_queries": len(rows)})
+    return records, aggregates
+
+
+# paperrank in the middle, so inline rankers run before and after it
+POOL_METHODS = ("simavg", "simwgd", "simref", "paperrank", "citmod", "cf",
+                "random")
+
+
+def pool_inputs():
+    """Queries at two ratios on slices that each gain one isolated paper.
+    Every ratio also gets a query no slice paper seeds (skipped), one
+    seeded only by its slice's isolated paper and one seeded by it and
+    linked papers; models have random output rows so CitMod ranks."""
+    g = eval_graph()
+    cfg = eval_config(hidden_ratios=(0.1, 0.5), n_queries=8,
+                      k_values=(5, 10, 50), methods=POOL_METHODS)
+    queries_by_ratio, graphs, _ = _slices_and_models(g, cfg, (0.1, 0.5))
+    rng = np.random.default_rng(3)
+    models = {}
+    for y, sl in graphs.items():
+        graphs[y] = CitationGraph(sl.ids + [f"iso{y}"], np.append(sl.years, y),
+                                  *sl.edge_list())
+        m = init_model(graphs[y], TrainParams(dim=8, seed=1))
+        models[y] = EmbeddingModel(m.ids, m.w_in,
+                                   rng.normal(size=m.w_out.shape))
+    for r, qs in queries_by_ratio.items():
+        a, b = qs[1], qs[4]
+        iso_a, iso_b = f"iso{a.year - 1}", f"iso{b.year - 1}"
+        qs[2:2] = [Query("gone", a.year, ["absent"], a.hidden, r),
+                   Query("lone", a.year, [iso_a], a.hidden, r)]
+        qs.append(Query("mixed", b.year, [iso_b, *b.seeds], b.hidden, r))
+    return g, cfg, graphs, models, queries_by_ratio
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_run_experiment_pool_matches_serial_reference(tmp_path, monkeypatch,
+                                                      cpus):
+    g, cfg, graphs, models, queries_by_ratio = pool_inputs()
+    want_records, want_aggregates = reference_run_experiment(
+        cfg, graphs, models, queries_by_ratio)
+    assert len(want_records) == len(POOL_METHODS) * 2 * 10  # 2 skipped
+    threads = []
+    paperrank = ranking.paperrank
+
+    def traced(*args):
+        threads.append(threading.current_thread().name)
+        return paperrank(*args)
+
+    monkeypatch.setattr(ranking, "paperrank", traced)
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: cpus)
+    records, aggregates = run_experiment(g, cfg, graphs, models,
+                                         queries_by_ratio=queries_by_ratio)
+    assert records == want_records
+    write_report(tmp_path / "want.csv", want_aggregates)
+    write_report(tmp_path / "got.csv", aggregates)
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+    assert len(threads) == 20
+    assert all(t.startswith("paperrank") for t in threads)
+
+
+@pytest.mark.parametrize("method", ["paperrank", "cf"])
+def test_run_experiment_pool_propagates_ranker_error(monkeypatch, method):
+    g, cfg, graphs, models, queries_by_ratio = pool_inputs()
+    victim = queries_by_ratio[0.5][5]
+    score = ranking.METHODS[method].score
+
+    def failing(m, sl, seeds, pr, rng):
+        if seeds == list(dict.fromkeys(victim.seeds)):
+            raise ValueError(f"{method} failed on {victim.query_id}")
+        return score(m, sl, seeds, pr, rng)
+
+    monkeypatch.setitem(ranking.METHODS, method,
+                        ranking.Method(ranking.METHODS[method].needs, failing))
+    with pytest.raises(ValueError) as want:
+        reference_run_experiment(cfg, graphs, models, queries_by_ratio)
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 4)
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError) as got:
+        run_experiment(g, cfg, graphs, models,
+                       queries_by_ratio=queries_by_ratio)
+    assert str(got.value) == str(want.value) == \
+        f"{method} failed on {victim.query_id}"
+    assert set(threading.enumerate()) == before
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("paperrank")]
+
+
+@pytest.mark.parametrize("methods,workers", [
+    (POOL_METHODS, 4), (("simavg", "cf"), 0)])
+def test_run_experiment_logs_summary(caplog, monkeypatch, methods, workers):
+    g, cfg, graphs, models, queries_by_ratio = pool_inputs()
+    cfg = eval_config(hidden_ratios=cfg.hidden_ratios,
+                      k_values=cfg.k_values, methods=methods)
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 4)
+    with caplog.at_level("INFO", logger="citerec.evaluation"):
+        run_experiment(g, cfg, graphs, models,
+                       queries_by_ratio=queries_by_ratio)
+    assert [r.levelname for r in caplog.records] == ["WARNING", "INFO"]
+    assert caplog.records[0].message == \
+        "2 of 22 queries skipped: no seed is in their slice"
+    assert re.fullmatch(
+        rf"run_experiment: 20 queries ranked, 2 skipped, methods "
+        rf"{','.join(methods)}, {workers} PaperRank workers, \d+\.\d{{3}} s",
+        caplog.records[1].message)
 
 
 def test_no_time_leakage_check():
