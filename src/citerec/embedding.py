@@ -31,6 +31,15 @@ log = logging.getLogger(__name__)
 TRAIN_BLOCK_FLOATS = 1 << 17
 # Context tokens gathered at a time when building the flat windows.
 WINDOW_CHUNK_TOKENS = 1 << 16
+# Training blocks whose negatives ``neg`` mode draws, and whose context rows
+# it gathers, in one call each: that work does not depend on the parameters,
+# and one call per 32 blocks costs less than 32 calls, while a chunk's index
+# arrays stay near 1 MB at dim 32 (they scale as 1 / dim).
+CHUNK_BLOCKS = 32
+# Buckets of the table that inverts the noise CDF: enough that no bucket
+# holds two rows of positive weight on a 5k-paper co-citation corpus, so a
+# draw there takes one halving step.
+NOISE_BUCKETS = 1 << 16
 
 
 class TrainingError(RuntimeError):
@@ -190,6 +199,43 @@ def _noise_distribution(tokens, n):
     return noise / total
 
 
+def _noise_sampler(noise):
+    """The function that takes uniform draws ``u`` in [0, 1) to rows of the
+    distribution ``noise``: ``np.searchsorted(np.cumsum(noise), u)``, except
+    that a draw past the CDF's last entry, which rounding can leave below 1,
+    goes to the last row of positive weight.
+
+    Only row 0 and the rows of positive weight can be returned: a row of
+    zero weight repeats the CDF entry before it, so it is never the first
+    to reach ``u > 0``.  The search runs over those rows' CDF entries, the
+    keys.  A table splits [0, 1] into ``NOISE_BUCKETS`` equal buckets, and
+    ``lo[b]`` is the key index that bucket b's lower edge searches to, so a
+    draw in bucket b searches to an index from ``lo[b]`` to ``lo[b + 1]``.
+    A few vectorised halving steps then find it exactly.
+    """
+    cdf = np.cumsum(noise)
+    keep = noise > 0
+    keep[0] = True
+    rows = np.flatnonzero(keep)
+    keys = cdf[rows]
+    edges = np.arange(NOISE_BUCKETS + 1) / NOISE_BUCKETS
+    lo = np.minimum(np.searchsorted(keys, edges), keys.size - 1)
+    steps = int(np.diff(lo).max()).bit_length()
+
+    def draw(u):
+        b = (u * NOISE_BUCKETS).astype(np.intp)
+        left, right = lo[b], lo[b + 1]
+        for _ in range(steps):
+            mid = (left + right) >> 1
+            # mid == right only once left == right, where nothing moves
+            up = (keys[mid] < u) & (mid < right)
+            left = np.where(up, mid + 1, left)
+            right = np.where(up, right, mid)
+        return rows[left]
+
+    return draw
+
+
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -226,17 +272,41 @@ def _scatter_add(w, rows, values):
     """``w[rows] += values``, adding every value of a repeated row, in order.
 
     ``np.add.at`` on the flat matrix is about 2.5x faster than on its rows,
-    with the same additions in the same order.  ``w`` is C-contiguous, as
-    ``EmbeddingModel`` keeps it, so its flat reshape is a view.
+    with the same additions in the same order.  At an even dim it runs on
+    the matrices' ``complex128`` view, which halves its index and its work:
+    a complex add is two float adds, each in the same order as before.  An
+    odd dim keeps the float64 view.  ``w`` is C-contiguous, as
+    ``EmbeddingModel`` keeps it, so both views share its memory.
     """
+    if w.shape[1] % 2 == 0:
+        w, values = w.view(np.complex128), values.view(np.complex128)
     d = w.shape[1]
-    flat = (rows.astype(np.intp)[:, None] * d + np.arange(d)).ravel()
-    np.add.at(w.reshape(-1), flat, values.ravel())
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    np.add.at(w.reshape(-1), flat, values.reshape(-1))
 
 
-def _neg_block(m, targets, context, offsets, noise_cdf, negatives, rng,
-               windows, lrs):
-    """Negative-sampling steps for ``windows`` as one set of array operations.
+def _neg_chunk(targets, context, offsets, draw_noise, negatives, rng,
+               windows):
+    """The work of ``neg`` mode that does not depend on the parameters, for
+    the ``windows`` of one chunk of blocks: ``(out_rows, rows, bounds)``.
+
+    Row j of ``out_rows`` is window j's target and then its negatives, all
+    drawn by one ``rng.random`` call, which reads the stream in the order
+    one call per block would.  Window j's context rows are
+    ``rows[bounds[j]:bounds[j + 1]]``, as ``intp``.
+    """
+    out_rows = np.empty((windows.size, negatives + 1), dtype=np.intp)
+    out_rows[:, 0] = targets[windows]
+    out_rows[:, 1:] = draw_noise(rng.random((windows.size, negatives)))
+    rows, counts = csr_gather(offsets, context, windows)
+    bounds = np.zeros(windows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return out_rows, rows.astype(np.intp), bounds
+
+
+def _neg_block(m, out_rows, rows, bounds, lrs):
+    """Negative-sampling steps for one block as one set of array operations:
+    window j predicts ``out_rows[j]`` from ``rows[bounds[j]:bounds[j + 1]]``.
 
     Every read comes from the parameters as they were at the start of the
     block, and every update is then added, so a row that appears twice (a
@@ -247,24 +317,22 @@ def _neg_block(m, targets, context, offsets, noise_cdf, negatives, rng,
     loss.
     """
     w_in, w_out = m.w_in, m.w_out
-    nb = windows.size
-    out_rows = np.empty((nb, negatives + 1), dtype=np.intp)
-    out_rows[:, 0] = targets[windows]
-    out_rows[:, 1:] = np.searchsorted(noise_cdf, rng.random((nb, negatives)))
-    labels = np.zeros(negatives + 1)
+    labels = np.zeros(out_rows.shape[1])
     labels[0] = 1.0
-    # the block's contexts, flat: window j's start at rows[starts[j]]
-    rows, counts = csr_gather(offsets, context, windows)
-    starts = np.cumsum(counts) - counts
-    h = np.add.reduceat(w_in[rows], starts, axis=0) / counts[:, None]
-    wo = w_out[out_rows]
+    rows = rows[bounds[0]:bounds[-1]]
+    counts = np.diff(bounds)
+    # take() copies the same rows as indexing, in half the time
+    h = (np.add.reduceat(w_in.take(rows, axis=0), bounds[:-1] - bounds[0],
+                         axis=0) / counts[:, None])
+    wo = w_out.take(out_rows, axis=0)
     scores = _sigmoid(np.einsum("bkd,bd->bk", wo, h))
     derr = scores - labels
     dh = np.einsum("bk,bkd->bd", derr, wo)
-    step_err = lrs[:, None] * derr
+    # -(a * b) == (-a) * b bit for bit, so the small factor is negated
+    neg_lr = -lrs[:, None]
     _scatter_add(w_out, out_rows.ravel(),
-                 -(step_err[:, :, None] * h[:, None, :]))
-    _scatter_add(w_in, rows, np.repeat(-(lrs[:, None] * dh), counts, axis=0))
+                 (neg_lr * derr)[:, :, None] * h[:, None, :])
+    _scatter_add(w_in, rows, np.repeat(neg_lr * dh, counts, axis=0))
     return -np.log(np.abs(1.0 - labels - scores) + 1e-12).sum(axis=1)
 
 
@@ -275,12 +343,12 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
     blocks of ``_block_windows(params)`` windows.  Learning rate decays
     linearly from lr to lr_min over all steps, one value per window.
     ``exact`` mode steps through a block one window at a time.  ``neg`` mode
-    draws each block's negatives from the same stream, after the epoch's
-    order and in block order, and takes the whole block as one step on the
-    parameters as they were at its start (see ``_neg_block``).  A fixed seed
-    gives the same model, bit for bit.  Each epoch's mean loss, window count
-    and windows/s are logged at INFO level; a non-finite loss raises
-    ``TrainingError`` naming its step.
+    draws the negatives from the same stream, after the epoch's order and in
+    window order, one chunk of ``CHUNK_BLOCKS`` blocks at a time, and takes
+    each block as one step on the parameters as they were at its start (see
+    ``_neg_block``).  A fixed seed gives the same model, bit for bit.  Each
+    epoch's mean loss, window count and windows/s are logged at INFO level;
+    a non-finite loss raises ``TrainingError`` naming its step.
     """
     targets, context, offsets = context_windows(corpus.tokens, corpus.offsets,
                                                 params.window)
@@ -290,31 +358,39 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
     rng = np.random.default_rng([params.seed, 0x7472])
     neg = params.mode == "neg"
     if neg:
-        noise_cdf = np.cumsum(_noise_distribution(corpus.tokens, m.n))
+        draw_noise = _noise_sampler(_noise_distribution(corpus.tokens, m.n))
     block = _block_windows(params)
+    chunk = block * CHUNK_BLOCKS
     total = max(params.epochs * n_windows, 1)
     step = 0
     for epoch in range(params.epochs):
         t0 = time.perf_counter()
         loss_sum = 0.0
         order = rng.permutation(n_windows)
-        for b0 in range(0, n_windows, block):
-            windows = order[b0:b0 + block]
-            lrs = params.lr - (params.lr - params.lr_min) * (
-                np.arange(step, step + windows.size) / total)
+        for c0 in range(0, n_windows, chunk):
+            windows = order[c0:c0 + chunk]
             if neg:
-                losses = _neg_block(m, targets, context, offsets, noise_cdf,
-                                    params.negatives, rng, windows, lrs)
-            else:
-                losses = _exact_block(m, targets, context, offsets, windows,
-                                      lrs)
-            bad = np.flatnonzero(~np.isfinite(losses))
-            if bad.size:
-                j = bad[0]
-                raise TrainingError(
-                    f"non-finite loss at step {step + j} (lr={lrs[j]:.6g})")
-            loss_sum += losses.sum()
-            step += windows.size
+                out_rows, rows, bounds = _neg_chunk(
+                    targets, context, offsets, draw_noise, params.negatives,
+                    rng, windows)
+            for b0 in range(0, windows.size, block):
+                b1 = min(b0 + block, windows.size)
+                lrs = params.lr - (params.lr - params.lr_min) * (
+                    np.arange(step, step + b1 - b0) / total)
+                if neg:
+                    losses = _neg_block(m, out_rows[b0:b1], rows,
+                                        bounds[b0:b1 + 1], lrs)
+                else:
+                    losses = _exact_block(m, targets, context, offsets,
+                                          windows[b0:b1], lrs)
+                bad = np.flatnonzero(~np.isfinite(losses))
+                if bad.size:
+                    j = bad[0]
+                    raise TrainingError(
+                        f"non-finite loss at step {step + j} "
+                        f"(lr={lrs[j]:.6g})")
+                loss_sum += losses.sum()
+                step += b1 - b0
         elapsed = time.perf_counter() - t0
         log.info("epoch %d/%d: mean loss %.6g over %d windows, %.0f windows/s",
                  epoch + 1, params.epochs, loss_sum / n_windows, n_windows,

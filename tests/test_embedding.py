@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from citerec import embedding
 from citerec.graph import CitationGraph, text_lines
@@ -15,7 +15,7 @@ from citerec.sampling import (SamplingParams, cocitation_corpus,
                               generate_walk_corpus)
 from citerec.embedding import (EmbeddingModel, TrainParams, TrainingError,
                                _block_windows, _load_matrix,
-                               _noise_distribution, _sigmoid,
+                               _noise_distribution, _noise_sampler, _sigmoid,
                                context_windows, exact_gradients, exact_loss,
                                forward, init_model, load_model, save_model,
                                softmax, train)
@@ -234,14 +234,18 @@ def reference_train(m, corpus, params):
     each block of windows as one step: every window reads the parameters as
     they were at the start of its block, then every update is applied in
     step order, each repeated row included, and each context row gets the
-    undivided context error.
+    undivided context error.  Each block draws its own negatives by
+    ``np.searchsorted`` on the noise CDF; a draw past the CDF's end goes to
+    the last row of positive weight.
     """
     windows = list(extract_windows(corpus.sequences, params.window))
     rng = np.random.default_rng([params.seed, 0x7472])
     w_in, w_out = m.w_in, m.w_out
     block = _block_windows(params)
     if params.mode == "neg":
-        noise_cdf = np.cumsum(_noise_distribution(corpus.tokens, m.n))
+        noise = _noise_distribution(corpus.tokens, m.n)
+        noise_cdf = np.cumsum(noise)
+        last = np.flatnonzero(noise)[-1]
         labels = np.zeros(params.negatives + 1)
         labels[0] = 1.0
     total = max(params.epochs * len(windows), 1)
@@ -253,8 +257,8 @@ def reference_train(m, corpus, params):
         for b0 in range(0, len(windows), block):
             blk = order[b0:b0 + block]
             if params.mode == "neg":
-                negs = np.searchsorted(noise_cdf,
-                                       rng.random((blk.size, params.negatives)))
+                negs = np.minimum(np.searchsorted(
+                    noise_cdf, rng.random((blk.size, params.negatives))), last)
                 in0, out0 = w_in.copy(), w_out.copy()
             for j, wi in enumerate(blk):
                 target, rows = windows[wi]
@@ -299,22 +303,126 @@ def reference_corpora():
                for kind, c in (("cocit", cocit), ("biased", walks))}
 
 
-@pytest.mark.parametrize("mode", ["exact", "neg"])
-@pytest.mark.parametrize("kind", ["cocit", "biased"])
-def test_train_byte_identical_to_reference(mode, kind):
+def reference_cases():
+    """``(kind, mode, dim, chunked)`` for every corpus, mode, dim and chunk
+    size; the dim-16 cases at the module's block and chunk sizes keep the
+    ids ``kind-mode``."""
+    for dim, chunked in ((16, False), (5, False), (1, False),
+                         (16, True), (5, True), (1, True)):
+        tail = ("" if dim == 16 else f"-d{dim}") + ("-chunked" if chunked
+                                                    else "")
+        for kind in ("cocit", "biased"):
+            for mode in ("exact", "neg"):
+                yield pytest.param(kind, mode, dim, chunked,
+                                   id=f"{kind}-{mode}{tail}")
+
+
+@pytest.mark.parametrize("kind,mode,dim,chunked", reference_cases())
+def test_train_byte_identical_to_reference(kind, mode, dim, chunked,
+                                           monkeypatch):
     g, corpora = reference_corpora()
     corpus = corpora[kind]
-    # dim 16 puts about two blocks in each epoch
-    params = TrainParams(dim=16, window=5, epochs=3, mode=mode, seed=4)
+    # an odd dim scatters float64 values, an even one complex128 pairs
+    params = TrainParams(dim=dim, window=5, epochs=3, mode=mode, seed=4)
     n_windows = corpus_windows(corpus, params.window)[0].size
-    assert n_windows > _block_windows(params)
+    if chunked:
+        # 350-window blocks, two to a chunk: three chunks, of which the
+        # last holds one short block
+        monkeypatch.setattr(embedding, "TRAIN_BLOCK_FLOATS",
+                            2 * params.window * dim * 350)
+        monkeypatch.setattr(embedding, "CHUNK_BLOCKS", 2)
+        block = _block_windows(params)
+        n_blocks = -(-n_windows // block)
+        assert n_blocks > embedding.CHUNK_BLOCKS
+        assert n_blocks % embedding.CHUNK_BLOCKS and n_windows % block
+    elif dim == 16:
+        # about two blocks in each epoch
+        assert n_windows > _block_windows(params)
     if kind == "biased":
         assert any(len(np.unique(s)) < len(s) for s in corpus.sequences)
     m = train(init_model(g, params), corpus, params)
     ref = init_model(g, params)
     reference_train(ref, corpus, params)
+    assert np.array_equal(m.w_in.view(np.uint64), ref.w_in.view(np.uint64))
+    assert np.array_equal(m.w_out.view(np.uint64), ref.w_out.view(np.uint64))
+
+
+# token counts (1, 5, 5): the noise CDF ends 2.2e-16 below 1
+SHORT_CDF_TOKENS = np.array([0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2])
+
+
+def test_noise_draw_past_cdf_end_goes_to_last_row(monkeypatch):
+    noise = _noise_distribution(SHORT_CDF_TOKENS, 3)
+    top = np.nextafter(1.0, 0.0)
+    assert np.cumsum(noise)[-1] == 1.0 - 2.0 ** -52 < top
+    assert np.searchsorted(np.cumsum(noise), top) == 3
+    assert _noise_sampler(noise)(np.array([top])).tolist() == [2]
+
+    # a generator whose uniform draws are all that largest double below 1
+    real_rng = np.random.default_rng
+
+    class TopDraws:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def permutation(self, n):
+            return self.rng.permutation(n)
+
+        def random(self, size):
+            return np.full(size, top)
+
+    g = chain_graph(3)
+    corpus = corpus_of([[0, 1, 2, 1, 2, 1], [2, 1, 2, 1, 2]])
+    assert np.bincount(corpus.tokens).tolist() == [1, 5, 5]
+    params = TrainParams(dim=4, window=2, epochs=2, mode="neg", seed=3)
+    m, ref = init_model(g, params), init_model(g, params)
+    monkeypatch.setattr(np.random, "default_rng", TopDraws)
+    train(m, corpus, params)
+    reference_train(ref, corpus, params)
     assert np.array_equal(m.w_in, ref.w_in)
     assert np.array_equal(m.w_out, ref.w_out)
+
+
+@st.composite
+def noise_and_draws(draw):
+    """A noise distribution from token counts, with zero counts and
+    sometimes one dominant row, and draws in [0, 1) that include 0, the
+    bucket edges, the doubles just below them, the CDF's own entries and
+    their neighbours."""
+    counts = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 5, 40]),
+                           min_size=1, max_size=60))
+    if draw(st.booleans()):
+        counts[draw(st.integers(0, len(counts) - 1))] = 10 ** 9
+    if not any(counts):
+        counts[-1] = 1
+    # _noise_distribution's formula, without a billion tokens to count
+    noise = np.array(counts, dtype=np.float64) ** 0.75
+    noise /= noise.sum()
+    cdf = np.cumsum(noise)
+    buckets = embedding.NOISE_BUCKETS
+    edge = st.integers(0, buckets - 1).map(lambda b: b / buckets)
+    below_edge = st.integers(1, buckets).map(
+        lambda b: np.nextafter(b / buckets, 0.0))
+    key = st.sampled_from(cdf.tolist()).flatmap(lambda c: st.sampled_from(
+        [np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)]))
+    u = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+                  edge, below_edge, key.filter(lambda x: x < 1.0))
+    return noise, np.array(draw(st.lists(u, min_size=1, max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@example((_noise_distribution(SHORT_CDF_TOKENS, 3),
+          np.array([0.0, np.nextafter(1.0, 0.0), 0.5])))
+@given(noise_and_draws())
+def test_noise_sampler_matches_searchsorted(case):
+    noise, u = case
+    last = np.flatnonzero(noise)[-1]
+    want = np.minimum(np.searchsorted(np.cumsum(noise), u), last)
+    got = _noise_sampler(noise)(u)
+    assert got.tolist() == want.tolist()
+    # a chunk's draws come as one (windows, negatives) array
+    assert _noise_sampler(noise)(u.reshape(-1, 1)).ravel().tolist() == \
+        want.tolist()
 
 
 def test_train_neg_applies_target_drawn_as_own_negative():
