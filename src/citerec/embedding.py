@@ -3,12 +3,13 @@ its context papers' vectors.
 
 Two objectives are supported.  Exact softmax optimizes -log Pr(target |
 context) with a full softmax over the vocabulary, one window at a time; it
-is the reference mode and is gradient-checked in the test suite.  Negative
-sampling optimizes the usual sampled surrogate (k negatives drawn from a
-unigram^0.75 noise distribution over corpus frequencies) and scales to large
-graphs: each block of windows is one set of array operations, and, as in
-word2vec's CBOW, every context row gets the whole context error rather than
-its share of the mean's gradient.
+is the reference mode.  Negative sampling optimizes the usual sampled
+surrogate (k negatives drawn from a unigram^0.75 noise distribution over
+corpus frequencies) and scales to large graphs: each block of windows is one
+set of array operations, and, as in word2vec's CBOW, every context row gets
+the whole context error rather than its share of the mean's gradient.  The
+test suite checks one step of each objective against central finite
+differences of its loss.
 """
 
 from __future__ import annotations
@@ -165,29 +166,6 @@ def forward(m: EmbeddingModel, context):
         raise KeyError("context index out of vocabulary range")
     h = m.w_in[rows].mean(axis=0)
     return softmax(m.w_out @ h)
-
-
-def exact_loss(m: EmbeddingModel, target, ctx):
-    return -float(np.log(forward(m, ctx)[target]))
-
-
-def exact_gradients(m: EmbeddingModel, target, ctx):
-    """Analytic gradients of -log Pr(target | ctx), exact-softmax mode.
-
-    Returns (loss, dW_in, dW_out) as dense matrices; the test suite checks
-    them against central finite differences.
-    """
-    rows = np.asarray(ctx, dtype=np.int64)
-    h = m.w_in[rows].mean(axis=0)
-    probs = softmax(m.w_out @ h)
-    loss = -float(np.log(probs[target]))
-    dlogits = probs.copy()
-    dlogits[target] -= 1.0
-    d_w_out = np.outer(dlogits, h)
-    dh = m.w_out.T @ dlogits
-    d_w_in = np.zeros_like(m.w_in)
-    np.add.at(d_w_in, rows, dh / rows.size)
-    return loss, d_w_in, d_w_out
 
 
 def _noise_distribution(tokens, n):

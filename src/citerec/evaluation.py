@@ -65,6 +65,15 @@ class ExperimentConfig:
                 raise ValueError(f"unknown ranking method: {m!r}")
         if not self.k_values or min(self.k_values) < 1:
             raise ValueError("k values must be >= 1")
+        # a repeated method or k would be written as two report rows, and a
+        # repeated ratio merged into one
+        for name, values in (("hidden ratio", self.hidden_ratios),
+                             ("k value", self.k_values),
+                             ("ranking method", self.methods)):
+            repeat = next((v for i, v in enumerate(values)
+                           if v in values[:i]), None)
+            if repeat is not None:
+                raise ValueError(f"repeated {name}: {repeat!r}")
 
 
 def hidden_count(n_refs, ratio):

@@ -12,8 +12,7 @@ from citerec.graph import CitationGraph
 from citerec.sampling import (SamplingParams, cocitation_corpus,
                               generate_walk_corpus, transition_probs,
                               _biased_steps, _edge_keys, _uniform_steps)
-from citerec.embedding import (EmbeddingModel, TrainParams, exact_gradients,
-                               exact_loss, init_model, train)
+from citerec.embedding import EmbeddingModel, TrainParams, init_model, train
 from citerec.ranking import cit_mod, rank_scores, recommend, sim_avg, sim_ref
 from citerec.baselines import PageRankParams, paperrank, cf_scores
 from citerec.evaluation import (ExperimentConfig, build_queries,
@@ -24,6 +23,8 @@ from .conftest import (independent_pi, make_planted_graph,
 
 from .test_baselines import (cf_bruteforce_oracle, dense_paperrank_oracle,
                             incidence_fixture, two_triangle_graph)
+from .test_embedding import (exact_step_errors, gradient_check_model,
+                             neg_step_errors)
 
 
 def report(name, ok, detail=""):
@@ -34,33 +35,20 @@ def report(name, ok, detail=""):
 # -- criterion 1: gradient correctness ----------------------------------------
 
 def test_criterion_1_gradient_correctness():
+    """One training step of each objective against finite differences of
+    its loss, on a window that repeats a context row; the ``neg`` negatives
+    hold the target and one row drawn twice."""
     t0 = time.time()
-    rng = np.random.default_rng(11)
-    n, d, eps = 12, 8, 1e-4
-    m = EmbeddingModel([f"n{i}" for i in range(n)],
-                       rng.normal(scale=0.3, size=(n, d)),
-                       rng.normal(scale=0.3, size=(n, d)))
-    worst = 0.0
-    for ctx in ([5], [2, 6, 9, 11]):
-        target = 1
-        ctx = np.array(ctx)
-        _, d_in, d_out = exact_gradients(m, target, ctx)
-        for mat, grad in ((m.w_in, d_in), (m.w_out, d_out)):
-            for i in range(n):
-                for j in range(d):
-                    orig = mat[i, j]
-                    mat[i, j] = orig + eps
-                    up = exact_loss(m, target, ctx)
-                    mat[i, j] = orig - eps
-                    dn = exact_loss(m, target, ctx)
-                    mat[i, j] = orig
-                    fd = (up - dn) / (2 * eps)
-                    denom = max(abs(fd), abs(grad[i, j]), 1e-8)
-                    worst = max(worst, abs(fd - grad[i, j]) / denom)
+    ctx = [2, 6, 6, 11]
+    exact = max(exact_step_errors(gradient_check_model(), 1, ctx, lr=0.1))
+    loss_err, neg_in, neg_out = neg_step_errors(
+        gradient_check_model(), [1, 4, 1, 9, 9, 3], ctx, lr=0.1)
+    neg = max(neg_in, neg_out)
     elapsed = time.time() - t0
-    report("criterion 1 (gradient vs finite differences)",
-           worst < 1e-4 and elapsed < 10,
-           f"max rel err {worst:.2e}, {elapsed:.1f}s")
+    report("criterion 1 (training steps vs finite differences)",
+           exact < 1e-4 and neg < 1e-4 and loss_err < 1e-9 and elapsed < 10,
+           f"max rel err exact {exact:.2e}, neg {neg:.2e} "
+           f"(loss {loss_err:.1e}), {elapsed:.1f}s")
 
 
 # -- criterion 2: walk-law fidelity -------------------------------------------

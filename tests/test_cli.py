@@ -320,6 +320,9 @@ def test_evaluate_samples_with_walk_params(dataset, monkeypatch):
     ("--methods", "citmod,bogus", "unknown ranking method: 'bogus'"),
     ("--methods", "citmod,", "unknown ranking method: ''"),
     ("--k-values", "0,10", "k values must be >= 1"),
+    ("--methods", "cf,cf", "repeated ranking method: 'cf'"),
+    ("--k-values", "10,10", "repeated k value: 10"),
+    ("--ratios", "0.1,0.1", "repeated hidden ratio: 0.1"),
     ("--queries", "0", "n_queries must be >= 1"),
     ("--queries", "-5", "n_queries must be >= 1"),
 ])

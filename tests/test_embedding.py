@@ -14,11 +14,10 @@ from citerec.graph import CitationGraph, text_lines
 from citerec.sampling import (SamplingParams, cocitation_corpus,
                               generate_walk_corpus)
 from citerec.embedding import (EmbeddingModel, TrainParams, TrainingError,
-                               _block_windows, _load_matrix,
-                               _noise_distribution, _noise_sampler, _sigmoid,
-                               context_windows, exact_gradients, exact_loss,
-                               forward, init_model, load_model, save_model,
-                               softmax, train)
+                               _block_windows, _exact_block, _load_matrix,
+                               _neg_block, _noise_distribution, _noise_sampler,
+                               _sigmoid, context_windows, forward, init_model,
+                               load_model, save_model, softmax, train)
 from .conftest import corpus_of, make_planted_graph
 
 
@@ -146,30 +145,106 @@ def test_init_model_empty_graph_errors():
         init_model(CitationGraph.from_edges([]), TrainParams())
 
 
-@pytest.mark.parametrize("ctx", [[3], [1, 4, 7, 9]])
-def test_gradients_match_finite_differences(ctx):
-    rng = np.random.default_rng(2)
+def exact_window_loss(w_in, w_out, target, ctx):
+    """-log softmax(w_out h)[target], h the mean of the context rows."""
+    z = w_out @ w_in[ctx].mean(axis=0)
+    return np.log(np.exp(z - z.max()).sum()) + z.max() - z[target]
+
+
+def neg_window_loss(w_in, w_out, out_rows, ctx):
+    """-log sigma(w_out[t] h) - sum_j log sigma(-w_out[n_j] h) for
+    ``out_rows = [t, n_1, ...]``, h the mean of the context rows."""
+    s = w_out[out_rows] @ w_in[ctx].mean(axis=0)
+    return (-np.log(1 / (1 + np.exp(-s[0])))
+            - np.log(1 / (1 + np.exp(s[1:]))).sum())
+
+
+def central_differences(loss, mats, eps=1e-5):
+    """The gradient of ``loss()`` with respect to each of ``mats``, which
+    it reads, by central differences; each entry is restored after use."""
+    grads = []
+    for mat in mats:
+        grad = np.zeros_like(mat)
+        for idx in np.ndindex(mat.shape):
+            orig = mat[idx]
+            mat[idx] = orig + eps
+            up = loss()
+            mat[idx] = orig - eps
+            dn = loss()
+            mat[idx] = orig
+            grad[idx] = (up - dn) / (2 * eps)
+        grads.append(grad)
+    return grads
+
+
+def max_rel_err(got, want):
+    return float((np.abs(got - want)
+                  / np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-8)
+                  ).max())
+
+
+def gradient_check_model(seed=11):
+    rng = np.random.default_rng(seed)
     n, d = 12, 8
-    m = EmbeddingModel([f"n{i}" for i in range(n)],
-                       rng.normal(scale=0.3, size=(n, d)),
-                       rng.normal(scale=0.3, size=(n, d)))
-    target = 0
-    loss, d_in, d_out = exact_gradients(m, target, np.array(ctx))
-    eps = 1e-4
-    for mat, grad in ((m.w_in, d_in), (m.w_out, d_out)):
-        for i in range(n):
-            for j in range(d):
-                orig = mat[i, j]
-                mat[i, j] = orig + eps
-                up = exact_loss(m, target, ctx)
-                mat[i, j] = orig - eps
-                dn = exact_loss(m, target, ctx)
-                mat[i, j] = orig
-                fd = (up - dn) / (2 * eps)
-                if abs(fd) < 1e-10 and abs(grad[i, j]) < 1e-10:
-                    continue
-                rel = abs(fd - grad[i, j]) / max(abs(fd), abs(grad[i, j]))
-                assert rel < 1e-4, (i, j, fd, grad[i, j])
+    return EmbeddingModel([f"n{i}" for i in range(n)],
+                          rng.normal(scale=0.3, size=(n, d)),
+                          rng.normal(scale=0.3, size=(n, d)))
+
+
+def exact_step_errors(m, target, ctx, lr):
+    """Max relative errors ``(w_in, w_out)`` of one ``_exact_block`` step on
+    one window against -lr times the finite-difference gradient of
+    ``exact_window_loss``."""
+    ctx = np.asarray(ctx)
+    d_in, d_out = central_differences(
+        lambda: exact_window_loss(m.w_in, m.w_out, target, ctx),
+        (m.w_in, m.w_out))
+    w_in0, w_out0 = m.w_in.copy(), m.w_out.copy()
+    _exact_block(m, np.array([target]), ctx, np.array([0, ctx.size]),
+                 np.array([0]), np.array([lr]))
+    return (max_rel_err(m.w_in - w_in0, -lr * d_in),
+            max_rel_err(m.w_out - w_out0, -lr * d_out))
+
+
+def neg_step_errors(m, out_rows, ctx, lr):
+    """Relative errors ``(loss, w_in, w_out)`` of one ``_neg_block`` step on
+    one window, predicting ``out_rows = [t, n_1, ...]``, against
+    ``neg_window_loss`` at the parameters before the step and -lr times its
+    finite-difference gradient."""
+    ctx = np.asarray(ctx)
+
+    def loss():
+        return neg_window_loss(m.w_in, m.w_out, out_rows, ctx)
+    want = loss()
+    d_in, d_out = central_differences(loss, (m.w_in, m.w_out))
+    w_in0, w_out0 = m.w_in.copy(), m.w_out.copy()
+    got, = _neg_block(m, np.array([out_rows]), ctx, np.array([0, ctx.size]),
+                      np.array([lr]))
+    # word2vec adds the undivided context error neu1e = dL/dh to a context
+    # row once for each time the row appears in the context; through the
+    # mean, each occurrence gives that row dL/dh / |ctx| of dL/dw_in, so the
+    # step moves w_in by -lr * |ctx| * dL/dw_in
+    return (float(abs(got - want) / want),
+            max_rel_err(m.w_in - w_in0, -lr * ctx.size * d_in),
+            max_rel_err(m.w_out - w_out0, -lr * d_out))
+
+
+@pytest.mark.parametrize("ctx", [[5], [2, 6, 6, 11]])
+def test_exact_step_matches_finite_differences(ctx):
+    err_in, err_out = exact_step_errors(gradient_check_model(seed=2), 1, ctx,
+                                        lr=0.1)
+    assert err_in < 1e-4 and err_out < 1e-4, (err_in, err_out)
+
+
+def test_neg_step_matches_finite_differences():
+    # a repeated context row, a negative equal to the target and a
+    # repeated negative
+    err_loss, err_in, err_out = neg_step_errors(
+        gradient_check_model(seed=2), [1, 4, 1, 9, 9, 3], [2, 6, 6, 11],
+        lr=0.1)
+    # the step adds 1e-12 inside each log
+    assert err_loss < 1e-9, err_loss
+    assert err_in < 1e-4 and err_out < 1e-4, (err_in, err_out)
 
 
 def test_zero_epochs_is_identity():
@@ -199,31 +274,6 @@ def test_noise_distribution_counts_every_token():
     got = _noise_distribution(corpus_of(seqs).tokens, 6)
     assert got.dtype == np.float64
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def test_train_step_matches_analytic_gradient():
-    g = chain_graph(5)
-    params = TrainParams(dim=4, window=1, epochs=1, lr=0.1, lr_min=0.0,
-                         seed=7)
-    corpus = corpus_of([[0, 1, 2]])
-    m = init_model(g, params)
-    ref_in, ref_out = m.w_in.copy(), m.w_out.copy()
-
-    # replay the exact update sequence with the oracle gradients
-    windows = list(extract_windows(corpus.sequences, params.window))
-    order = np.random.default_rng([params.seed, 0x7472]).permutation(len(windows))
-    total = len(windows)
-    for step, wi in enumerate(order):
-        target, ctx = windows[wi]
-        ref = EmbeddingModel(m.ids, ref_in, ref_out)
-        _, d_in, d_out = exact_gradients(ref, target, ctx)
-        lr = params.lr - (params.lr - params.lr_min) * step / total
-        ref_in = ref_in - lr * d_in
-        ref_out = ref_out - lr * d_out
-
-    train(m, corpus, params)
-    assert np.allclose(m.w_in, ref_in, atol=1e-12)
-    assert np.allclose(m.w_out, ref_out, atol=1e-12)
 
 
 def reference_train(m, corpus, params):
@@ -500,7 +550,8 @@ def test_loss_decreases_on_toy_corpus():
     windows = list(extract_windows(corpus.sequences, 2))
 
     def mean_loss(m):
-        return float(np.mean([exact_loss(m, t, c) for t, c in windows]))
+        return float(np.mean([exact_window_loss(m.w_in, m.w_out, t, c)
+                              for t, c in windows]))
 
     params = TrainParams(dim=8, window=2, epochs=1, seed=1)
     m = init_model(g, params)

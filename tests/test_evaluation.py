@@ -509,4 +509,12 @@ def test_experiment_config_validation():
     for n in (0, -5):
         with pytest.raises(ValueError, match="n_queries must be >= 1"):
             ExperimentConfig(n_queries=n)
+    # each names the first entry equal to an earlier one
+    for field, values, message in [
+            ("methods", ("cf", "citmod", "cf"), "ranking method: 'cf'"),
+            ("k_values", (10, 50, 50, 10), "k value: 50"),
+            ("hidden_ratios", (0.1, 0.9, 0.1), "hidden ratio: 0.1")]:
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig(**{field: values})
+        assert str(err.value) == "repeated " + message
     ExperimentConfig(methods=("random",), k_values=(1,), n_queries=1)
