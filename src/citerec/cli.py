@@ -14,17 +14,12 @@ import sys
 
 from . import __version__
 from .graph import CitationGraph, load_graph, text_lines
-from .sampling import SamplingParams, WalkCorpus, generate_walk_corpus, cocitation_corpus
+from .sampling import STRATEGIES, WalkCorpus, sample_corpus
 from .embedding import (TrainParams, TrainingError, init_model, train,
                         save_model, load_model)
-from .ranking import (ALL_METHODS, EMBEDDING_METHODS, recommend,
-                      write_ranked_csv)
+from .ranking import ALL_METHODS, recommend, write_ranked_csv
 from .baselines import PageRankParams
-from .evaluation import (ExperimentConfig, build_queries, run_experiment,
-                         write_report, write_queries)
-
-
-STRATEGIES = ("uniform", "biased", "cocit")
+from .evaluation import ExperimentConfig, evaluate, write_report, write_queries
 
 
 def params_hash(params: dict) -> str:
@@ -51,15 +46,6 @@ def _load_any_graph(path, nodes=None):
     return load_graph(path, nodes)
 
 
-def _sample_corpus(g, strategy, n, seed, **walk):
-    """The ``strategy`` corpus of ``g``; cocit ignores the walk parameters
-    (t, p, q)."""
-    if strategy == "cocit":
-        return cocitation_corpus(g, n, seed=seed)
-    return generate_walk_corpus(g, SamplingParams(n=n, seed=seed, **walk),
-                                strategy)
-
-
 def cmd_ingest(args):
     g = load_graph(args.edges, args.nodes)
     g.save_cache(args.output)
@@ -79,8 +65,8 @@ def cmd_slice(args):
 
 def cmd_sample(args):
     g = _load_any_graph(args.graph, args.nodes)
-    corpus = _sample_corpus(g, args.strategy, args.n, args.seed,
-                            t=args.t, p=args.p, q=args.q)
+    corpus = sample_corpus(g, args.strategy, args.n, args.seed,
+                           t=args.t, p=args.p, q=args.q)
     corpus.params["params_hash"] = params_hash(corpus.params)
     corpus.save(args.output, g)
     print(f"sample: strategy={args.strategy} {len(corpus)} sequences -> {args.output}")
@@ -114,37 +100,24 @@ def cmd_recommend(args):
 
 def cmd_evaluate(args):
     g = _load_any_graph(args.graph, args.nodes)
-    ratios = tuple(float(r) for r in args.ratios.split(","))
-    ks = tuple(int(k) for k in args.k_values.split(","))
-    methods = tuple(args.methods.split(","))
     cfg = ExperimentConfig(
-        hidden_ratios=ratios, n_queries=args.queries,
+        hidden_ratios=tuple(float(r) for r in args.ratios.split(",")),
+        n_queries=args.queries,
         ref_range=(args.min_refs, args.max_refs),
         year_range=(args.min_year, args.max_year),
-        k_values=ks, methods=methods, seed=args.seed)
-
-    queries_by_ratio = {r: build_queries(g, cfg, r) for r in ratios}
-    years = sorted({q.year - 1 for qs in queries_by_ratio.values() for q in qs})
-    graphs, models = {}, {}
+        k_values=tuple(int(k) for k in args.k_values.split(",")),
+        methods=tuple(args.methods.split(",")), seed=args.seed)
     tparams = TrainParams(dim=args.dim, window=args.window, epochs=args.epochs,
                           mode=args.mode, seed=args.seed)
-    embedding_needed = any(m in EMBEDDING_METHODS for m in methods)
-    for y in years:
-        graphs[y] = g.time_slice(y)
-        if embedding_needed:
-            corpus = _sample_corpus(graphs[y], args.strategy, args.n,
-                                    args.seed, t=args.t, p=args.p, q=args.q)
-            models[y] = train(init_model(graphs[y], tparams), corpus, tparams)
-    records, aggregates = run_experiment(
-        g, cfg, graphs, models, queries_by_ratio=queries_by_ratio)
+    queries_by_ratio, _, aggregates = evaluate(
+        g, cfg, tparams, args.strategy, args.n, t=args.t, p=args.p, q=args.q)
     write_report(args.output, aggregates)
     if args.queries_out:
-        all_queries = [q for r in sorted(queries_by_ratio)
-                       for q in queries_by_ratio[r]]
-        write_queries(args.queries_out, all_queries)
+        write_queries(args.queries_out, [q for r in sorted(queries_by_ratio)
+                                         for q in queries_by_ratio[r]])
     nq = sum(len(v) for v in queries_by_ratio.values())
-    print(f"evaluate: {nq} queries, {len(methods)} methods, "
-          f"{len(ratios)} ratios -> {args.output}")
+    print(f"evaluate: {nq} queries, {len(cfg.methods)} methods, "
+          f"{len(cfg.hidden_ratios)} ratios -> {args.output}")
     return 0
 
 
@@ -208,6 +181,13 @@ def _add_walk_args(p):
     p.add_argument("--q", type=float, default=1.0, help="in-out parameter")
 
 
+def _add_train_args(p):
+    p.add_argument("--dim", type=int, default=128)
+    p.add_argument("--window", type=int, default=10)
+    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--mode", choices=["exact", "neg"], default="neg")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="citerec",
@@ -238,12 +218,9 @@ def build_parser():
     p = sub.add_parser("train", help="train an embedding model on a corpus")
     _add_graph_args(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=5)
+    _add_train_args(p)
     p.add_argument("--lr", type=float, default=0.025)
     p.add_argument("--lr-min", type=float, default=0.0001)
-    p.add_argument("--mode", choices=["exact", "neg"], default="neg")
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True,
@@ -273,10 +250,7 @@ def build_parser():
     p.add_argument("--methods", default=",".join(ALL_METHODS))
     p.add_argument("--strategy", choices=STRATEGIES, default="cocit")
     _add_walk_args(p)
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--mode", choices=["exact", "neg"], default="neg")
+    _add_train_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="aggregate report CSV")
     p.add_argument("--queries-out", default=None,

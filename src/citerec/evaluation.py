@@ -3,6 +3,7 @@ rank candidates from the rest, and measure recall@k.
 
 Queries published in year y are always served by the graph slice and
 embedding for year y-1, so no model input postdates the query.
+``evaluate`` runs the whole experiment, slicing and training included.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedding import TrainParams, init_model, train
 from .graph import CitationGraph, YEAR_UNKNOWN, text_lines
 from .ranking import ALL_METHODS, EMBEDDING_METHODS, METHODS, recommend
+from .sampling import sample_corpus
 
 log = logging.getLogger(__name__)
 
@@ -66,14 +69,20 @@ class ExperimentConfig:
         if not self.k_values or min(self.k_values) < 1:
             raise ValueError("k values must be >= 1")
         # a repeated method or k would be written as two report rows, and a
-        # repeated ratio merged into one
-        for name, values in (("hidden ratio", self.hidden_ratios),
-                             ("k value", self.k_values),
-                             ("ranking method", self.methods)):
-            repeat = next((v for i, v in enumerate(values)
-                           if v in values[:i]), None)
-            if repeat is not None:
-                raise ValueError(f"repeated {name}: {repeat!r}")
+        # repeated ratio merged into one; ratios compare as the report and
+        # the queries file print them (:g), so no two rows share a label
+        for name, values, keys in (
+                ("hidden ratio", self.hidden_ratios,
+                 [f"{r:g}" for r in self.hidden_ratios]),
+                ("k value", self.k_values, list(self.k_values)),
+                ("ranking method", self.methods, list(self.methods))):
+            for i, v in enumerate(values):
+                if keys[i] in keys[:i]:
+                    first = values[keys.index(keys[i])]
+                    if first == v:
+                        raise ValueError(f"repeated {name}: {v!r}")
+                    raise ValueError(f"{name}s {first!r} and {v!r} both "
+                                     f"print as {keys[i]}")
 
 
 def hidden_count(n_refs, ratio):
@@ -252,6 +261,28 @@ def run_experiment(g: CitationGraph, cfg: ExperimentConfig, graphs, models,
                     "method": method, "hidden_ratio": ratio, "k": k,
                     "mean_recall": mean, "n_queries": len(rows)})
     return records, aggregates
+
+
+def evaluate(g: CitationGraph, cfg: ExperimentConfig, tparams: TrainParams,
+             strategy, n, **walk):
+    """The whole random-hide experiment: every ratio's queries, the slice at
+    y-1 for each query year y and, only if a configured method needs one, a
+    model per slice trained on its ``strategy`` corpus (n passes, walk
+    parameters t, p, q), both seeded by ``tparams.seed``.  Returns
+    (queries by ratio, records, aggregates), as :func:`run_experiment`."""
+    queries_by_ratio = {r: build_queries(g, cfg, r)
+                        for r in cfg.hidden_ratios}
+    years = sorted({q.year - 1 for qs in queries_by_ratio.values()
+                    for q in qs})
+    graphs = {y: g.time_slice(y) for y in years}
+    models = {}
+    if any(m in EMBEDDING_METHODS for m in cfg.methods):
+        for y, sl in graphs.items():
+            corpus = sample_corpus(sl, strategy, n, tparams.seed, **walk)
+            models[y] = train(init_model(sl, tparams), corpus, tparams)
+    records, aggregates = run_experiment(
+        g, cfg, graphs, models, queries_by_ratio=queries_by_ratio)
+    return queries_by_ratio, records, aggregates
 
 
 def write_report(path, aggregates):

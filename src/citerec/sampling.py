@@ -1,5 +1,6 @@
 """Neighborhood construction: uniform walks, second-order biased walks and
-co-citation reference lists.
+co-citation reference lists.  ``sample_corpus`` maps a name in
+``STRATEGIES`` to its sampler.
 
 The (p, q) step weight is defined once, in ``_step_weights``; the
 rejection rounds of the walk sampler and ``transition_probs``, the
@@ -25,6 +26,8 @@ import numpy as np
 from .graph import CitationGraph, GraphError, csr_gather, is_token, text_lines
 
 log = logging.getLogger(__name__)
+
+STRATEGIES = ("uniform", "biased", "cocit")
 
 
 @dataclass(frozen=True)
@@ -261,3 +264,12 @@ def cocitation_corpus(g: CitationGraph, n, seed=0):
     offsets = np.concatenate([[0], np.cumsum(counts[np.concatenate(lines)])])
     return _logged(WalkCorpus(tokens.ravel(), offsets, "cocit",
                               {"n": n, "seed": seed}), t0)
+
+
+def sample_corpus(g: CitationGraph, strategy, n, seed, **walk):
+    """The ``strategy`` corpus of ``g``, for a strategy in STRATEGIES;
+    cocit ignores the walk parameters (t, p, q)."""
+    if strategy == "cocit":
+        return cocitation_corpus(g, n, seed=seed)
+    return generate_walk_corpus(g, SamplingParams(n=n, seed=seed, **walk),
+                                strategy)

@@ -5,19 +5,19 @@ reports values without gating on the stochastic direction.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from citerec.graph import CitationGraph
-from citerec.sampling import (SamplingParams, cocitation_corpus,
-                              generate_walk_corpus, transition_probs,
+from citerec.sampling import (cocitation_corpus, transition_probs,
                               _biased_steps, _edge_keys, _uniform_steps)
 from citerec.embedding import EmbeddingModel, TrainParams, init_model, train
 from citerec.ranking import cit_mod, rank_scores, recommend, sim_avg, sim_ref
 from citerec.baselines import PageRankParams, paperrank, cf_scores
 from citerec.evaluation import (ExperimentConfig, build_queries,
-                                check_no_time_leakage, recall_at_k,
-                                run_experiment, write_report)
+                                check_no_time_leakage, evaluate, recall_at_k,
+                                write_queries, write_report)
 from .conftest import (independent_pi, make_planted_graph,
                        make_synthetic_citation_corpus_graph)
 
@@ -213,32 +213,14 @@ def test_criterion_6_directional_diagnostic():
         refs_lo=5, refs_hi=25, mix=0.15, seed=61)
     cfg = ExperimentConfig(
         hidden_ratios=(0.1, 0.9), n_queries=100, ref_range=(5, 25),
-        year_range=(2005, 2010), k_values=(50,),
-        methods=("citmod", "paperrank"), seed=6)
-    queries_by_ratio = {r: build_queries(g, cfg, r)
-                        for r in cfg.hidden_ratios}
-    years = sorted({q.year - 1 for qs in queries_by_ratio.values()
-                    for q in qs})
-    graphs = {y: g.time_slice(y) for y in years}
-
+        year_range=(2005, 2010), k_values=(50,), seed=6)
     tparams = TrainParams(dim=32, window=10, epochs=2, mode="neg", seed=6)
     results = {}
-    for strategy in ("cocit", "uniform"):
-        models = {}
-        for y in years:
-            if strategy == "cocit":
-                corpus = cocitation_corpus(graphs[y], 5, seed=6)
-            else:
-                corpus = generate_walk_corpus(
-                    graphs[y], SamplingParams(n=3, t=20, seed=6))
-            models[y] = train(init_model(graphs[y], tparams), corpus, tparams)
-        methods = ("citmod", "paperrank") if strategy == "cocit" else ("citmod",)
-        sub_cfg = ExperimentConfig(
-            hidden_ratios=cfg.hidden_ratios, n_queries=cfg.n_queries,
-            ref_range=cfg.ref_range, year_range=cfg.year_range,
-            k_values=(50,), methods=methods, seed=6)
-        _, aggregates = run_experiment(g, sub_cfg, graphs, models,
-                                       queries_by_ratio=queries_by_ratio)
+    for strategy, methods, n, walk in (
+            ("cocit", ("citmod", "paperrank"), 5, {}),
+            ("uniform", ("citmod",), 3, {"t": 20})):
+        _, _, aggregates = evaluate(g, replace(cfg, methods=methods),
+                                    tparams, strategy, n, **walk)
         for row in aggregates:
             results[(strategy, row["method"], row["hidden_ratio"])] = \
                 row["mean_recall"]
@@ -294,20 +276,16 @@ def test_criterion_7_harness_integrity(tmp_path):
         rs = [recall_at_k(ranked, hidden, k) for k in (1, 3, 10, 30, 60)]
         mono &= all(a <= b for a, b in zip(rs, rs[1:]))
 
-    # (c) full evaluate run bit-reproducible for a fixed seed
+    # (c) full evaluate run bit-reproducible for a fixed seed, query
+    # building, slicing and training included
     tparams = TrainParams(dim=8, epochs=1, mode="neg", seed=1)
-    outputs = []
-    for name in ("r1.csv", "r2.csv"):
-        models = {}
-        for y in years:
-            corpus = cocitation_corpus(graphs[y], 2, seed=1)
-            models[y] = train(init_model(graphs[y], tparams), corpus, tparams)
-        qbr = {0.1: build_queries(g, cfg, 0.1)}
-        _, aggregates = run_experiment(g, cfg, graphs, models,
-                                       queries_by_ratio=qbr)
-        write_report(tmp_path / name, aggregates)
-        outputs.append((tmp_path / name).read_bytes())
-    reproducible = outputs[0] == outputs[1]
+    for run in ("r1", "r2"):
+        qbr, _, aggregates = evaluate(g, cfg, tparams, "cocit", 2)
+        write_report(tmp_path / f"{run}.csv", aggregates)
+        write_queries(tmp_path / f"{run}.tsv", qbr[0.1])
+    reproducible = all((tmp_path / f"r1.{ext}").read_bytes()
+                       == (tmp_path / f"r2.{ext}").read_bytes()
+                       for ext in ("csv", "tsv"))
 
     report("criterion 7 (harness integrity)",
            mono and reproducible,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from citerec import cli
+from citerec import evaluation, sampling
 from citerec.cli import main, params_hash, read_config
 from citerec.sampling import SamplingParams, generate_walk_corpus
 from .conftest import make_synthetic_citation_corpus_graph
@@ -304,7 +304,7 @@ def test_evaluate_samples_with_walk_params(dataset, monkeypatch):
     def recording(graph, params, strategy="uniform"):
         drawn.append((strategy, params))
         return generate_walk_corpus(graph, params, strategy)
-    monkeypatch.setattr(cli, "generate_walk_corpus", recording)
+    monkeypatch.setattr(sampling, "generate_walk_corpus", recording)
     assert main(["evaluate", "--graph", str(d / "g.npz"), "--queries", "4",
                  "--min-refs", "3", "--max-refs", "12",
                  "--min-year", "2008", "--max-year", "2008",
@@ -323,6 +323,8 @@ def test_evaluate_samples_with_walk_params(dataset, monkeypatch):
     ("--methods", "cf,cf", "repeated ranking method: 'cf'"),
     ("--k-values", "10,10", "repeated k value: 10"),
     ("--ratios", "0.1,0.1", "repeated hidden ratio: 0.1"),
+    ("--ratios", "0.1,0.1000001",
+     "hidden ratios 0.1 and 0.1000001 both print as 0.1"),
     ("--queries", "0", "n_queries must be >= 1"),
     ("--queries", "-5", "n_queries must be >= 1"),
 ])
@@ -336,7 +338,7 @@ def test_evaluate_rejects_bad_config_before_training(dataset, capsys,
 
     def no_training(*args, **kwargs):
         raise AssertionError("train called before the config was checked")
-    monkeypatch.setattr(cli, "train", no_training)
+    monkeypatch.setattr(evaluation, "train", no_training)
     rc = main(["evaluate", "--graph", str(d / "g.npz"), "--queries", "8",
                "--min-refs", "3", "--max-refs", "12", "--dim", "8",
                "--epochs", "1", flag, value,

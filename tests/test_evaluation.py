@@ -509,12 +509,31 @@ def test_experiment_config_validation():
     for n in (0, -5):
         with pytest.raises(ValueError, match="n_queries must be >= 1"):
             ExperimentConfig(n_queries=n)
-    # each names the first entry equal to an earlier one
+    # each names the first entry equal to an earlier one; ratios are equal
+    # when they print alike (:g), as the report and queries file write them
     for field, values, message in [
-            ("methods", ("cf", "citmod", "cf"), "ranking method: 'cf'"),
-            ("k_values", (10, 50, 50, 10), "k value: 50"),
-            ("hidden_ratios", (0.1, 0.9, 0.1), "hidden ratio: 0.1")]:
+            ("methods", ("cf", "citmod", "cf"),
+             "repeated ranking method: 'cf'"),
+            ("k_values", (10, 50, 50, 10), "repeated k value: 50"),
+            ("hidden_ratios", (0.1, 0.9, 0.1), "repeated hidden ratio: 0.1"),
+            ("hidden_ratios", (0.5, 0.1, 0.1000001),
+             "hidden ratios 0.1 and 0.1000001 both print as 0.1")]:
         with pytest.raises(ValueError) as err:
             ExperimentConfig(**{field: values})
-        assert str(err.value) == "repeated " + message
-    ExperimentConfig(methods=("random",), k_values=(1,), n_queries=1)
+        assert str(err.value) == message
+    ExperimentConfig(methods=("random",), k_values=(1,), n_queries=1,
+                     hidden_ratios=(0.1, 0.10001))
+
+
+def test_evaluate_without_embedding_methods_samples_and_trains_nothing(
+        monkeypatch):
+    g = eval_graph()
+    cfg = eval_config(n_queries=10, methods=("paperrank", "cf"))
+    tparams = TrainParams(dim=8, epochs=1, seed=1)
+    expected = evaluation.evaluate(g, cfg, tparams, "cocit", 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no configured method needs a model")
+    monkeypatch.setattr(evaluation, "train", forbidden)
+    monkeypatch.setattr(evaluation, "sample_corpus", forbidden)
+    assert evaluation.evaluate(g, cfg, tparams, "cocit", 2)[2] == expected[2]
