@@ -7,9 +7,10 @@ is the reference mode.  Negative sampling optimizes the usual sampled
 surrogate (k negatives drawn from a unigram^0.75 noise distribution over
 corpus frequencies) and scales to large graphs: each block of windows is one
 set of array operations, and, as in word2vec's CBOW, every context row gets
-the whole context error rather than its share of the mean's gradient.  The
-test suite checks one step of each objective against central finite
-differences of its loss.
+the whole context error rather than its share of the mean's gradient.  Both
+cut each window's context from the corpus tokens when its chunk of windows
+is trained.  The test suite checks one step of each objective against
+central finite differences of its loss.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CitationGraph, GraphError, csr_gather, is_token, text_lines
+from .graph import CitationGraph, GraphError, is_token, text_lines
 from .sampling import WalkCorpus
 
 
@@ -30,12 +31,10 @@ log = logging.getLogger(__name__)
 # TRAIN_BLOCK_FLOATS // (2 * window * dim) windows, so a larger model trains
 # in shorter blocks and a block's temporaries keep one size.
 TRAIN_BLOCK_FLOATS = 1 << 17
-# Context tokens gathered at a time when building the flat windows.
-WINDOW_CHUNK_TOKENS = 1 << 16
-# Training blocks whose negatives ``neg`` mode draws, and whose context rows
-# it gathers, in one call each: that work does not depend on the parameters,
-# and one call per 32 blocks costs less than 32 calls, while a chunk's index
-# arrays stay near 1 MB at dim 32 (they scale as 1 / dim).
+# Training blocks whose context rows are gathered, and whose negatives
+# ``neg`` mode draws, in one call each: that work does not depend on the
+# parameters, and one call per 32 blocks costs less than 32 calls, while a
+# chunk's index arrays stay near 1 MB at dim 32 (they scale as 1 / dim).
 CHUNK_BLOCKS = 32
 # Buckets of the table that inverts the noise CDF: enough that no bucket
 # holds two rows of positive weight on a 5k-paper co-citation corpus, so a
@@ -113,42 +112,39 @@ def init_model(g: CitationGraph, params: TrainParams):
 
 def context_windows(tokens, offsets, w):
     """Every context window of a flat corpus, whose line i is
-    ``tokens[offsets[i]:offsets[i + 1]]``, as flat arrays ``(targets,
-    context, bounds)``.
+    ``tokens[offsets[i]:offsets[i + 1]]``, as a table ``(at, left, right)``.
 
     Each position of a line of two or more tokens is one window, in corpus
-    order.  Its context is the symmetric window of half-width w around the
-    target, target excluded, duplicates kept.  Window i predicts
-    ``targets[i]`` from ``context[bounds[i]:bounds[i + 1]]``.  ``targets``
-    and ``context`` are int32, ``bounds`` int64.  The context is gathered
-    ``WINDOW_CHUNK_TOKENS`` tokens at a time, which bounds the temporaries.
+    order.  Window i predicts ``tokens[at[i]]`` from the symmetric window of
+    half-width w around it, target excluded, duplicates kept: the
+    ``left[i]`` tokens before the target and the ``right[i]`` after it.
+    ``window_context`` gathers those tokens.
     """
     if w < 1:
         raise ValueError("window must be >= 1")
     lengths = np.diff(offsets)
     # every position of a line of length >= 2 has a non-empty context
-    targets = tokens[np.repeat(lengths >= 2, lengths)].astype(np.int32)
+    at = np.flatnonzero(np.repeat(lengths >= 2, lengths))
     lengths = lengths[lengths >= 2]
-    pos = np.arange(targets.size) - np.repeat(np.cumsum(lengths) - lengths,
-                                              lengths)
+    pos = np.arange(at.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     left = np.minimum(pos, w)
-    counts = left + np.minimum(np.repeat(lengths, lengths) - 1 - pos, w)
-    bounds = np.zeros(targets.size + 1, dtype=np.int64)
+    right = np.minimum(np.repeat(lengths, lengths) - 1 - pos, w)
+    return at, left, right
+
+
+def window_context(tokens, at, left, right, windows):
+    """The context rows of ``windows``, rows of ``context_windows``'s table,
+    in the order given, as ``(rows, bounds)``: window j's context is
+    ``rows[bounds[j]:bounds[j + 1]]``, ``intp``; ``bounds`` is int64."""
+    at, left = at[windows], left[windows]
+    counts = left + right[windows]
+    bounds = np.zeros(windows.size + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
-    context = np.empty(bounds[-1], dtype=np.int32)
-    per_chunk = max(1, WINDOW_CHUNK_TOKENS // (2 * w))
-    for a in range(0, targets.size, per_chunk):
-        b = min(a + per_chunk, targets.size)
-        c = counts[a:b]
-        centre = np.repeat(np.arange(a, b), c)
-        # the k-th context token of window i is token i - left[i] + k,
-        # moved one place on once it reaches the target itself
-        k = (np.arange(bounds[b] - bounds[a])
-             - np.repeat(bounds[a:b] - bounds[a], c))
-        src = centre - np.repeat(left[a:b], c) + k
-        src += src >= centre
-        context[bounds[a]:bounds[b]] = targets[src]
-    return targets, context, bounds
+    # the k-th context token of a window, k counted from its bound, is token
+    # at - left + k, moved one place on once it reaches the target itself
+    src = np.arange(bounds[-1]) + np.repeat(at - left - bounds[:-1], counts)
+    src += src >= np.repeat(at, counts)
+    return tokens[src].astype(np.intp, copy=False), bounds
 
 
 def softmax(logits):
@@ -225,24 +221,25 @@ def _block_windows(params: TrainParams):
     return max(1, TRAIN_BLOCK_FLOATS // (2 * params.window * params.dim))
 
 
-def _exact_block(m, targets, context, offsets, windows, lrs):
-    """Exact-softmax steps for ``windows``, one after another; the sequential
-    reference.  Returns each step's loss."""
+def _exact_block(m, targets, rows, bounds, lrs):
+    """Exact-softmax steps, one window after another, the sequential
+    reference: window j predicts ``targets[j]`` from
+    ``rows[bounds[j]:bounds[j + 1]]``.  Returns each step's loss."""
     w_in, w_out = m.w_in, m.w_out
-    losses = np.empty(windows.size)
-    steps = zip(lrs.tolist(), targets[windows].tolist(),
-                offsets[windows].tolist(), offsets[windows + 1].tolist())
+    losses = np.empty(targets.size)
+    steps = zip(lrs.tolist(), targets.tolist(), bounds[:-1].tolist(),
+                bounds[1:].tolist())
     for j, (lr, target, lo, hi) in enumerate(steps):
-        rows = context[lo:hi]
+        ctx = rows[lo:hi]
         # the sum divided by the count is bit for bit what mean() returns
-        h = w_in.take(rows, axis=0).sum(axis=0) / (hi - lo)
+        h = w_in.take(ctx, axis=0).sum(axis=0) / (hi - lo)
         probs = softmax(w_out @ h)
         losses[j] = -np.log(probs[target])
         dlogits = probs
         dlogits[target] -= 1.0
         dh = w_out.T @ dlogits
         w_out -= lr * np.outer(dlogits, h)
-        np.add.at(w_in, rows, -lr * dh / (hi - lo))
+        np.add.at(w_in, ctx, -lr * dh / (hi - lo))
     return losses
 
 
@@ -261,25 +258,6 @@ def _scatter_add(w, rows, values):
     d = w.shape[1]
     flat = (rows[:, None] * d + np.arange(d)).ravel()
     np.add.at(w.reshape(-1), flat, values.reshape(-1))
-
-
-def _neg_chunk(targets, context, offsets, draw_noise, negatives, rng,
-               windows):
-    """The work of ``neg`` mode that does not depend on the parameters, for
-    the ``windows`` of one chunk of blocks: ``(out_rows, rows, bounds)``.
-
-    Row j of ``out_rows`` is window j's target and then its negatives, all
-    drawn by one ``rng.random`` call, which reads the stream in the order
-    one call per block would.  Window j's context rows are
-    ``rows[bounds[j]:bounds[j + 1]]``, as ``intp``.
-    """
-    out_rows = np.empty((windows.size, negatives + 1), dtype=np.intp)
-    out_rows[:, 0] = targets[windows]
-    out_rows[:, 1:] = draw_noise(rng.random((windows.size, negatives)))
-    rows, counts = csr_gather(offsets, context, windows)
-    bounds = np.zeros(windows.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    return out_rows, rows.astype(np.intp), bounds
 
 
 def _neg_block(m, out_rows, rows, bounds, lrs):
@@ -319,24 +297,26 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
 
     Each epoch visits the windows in an order drawn from one RNG stream, in
     blocks of ``_block_windows(params)`` windows.  Learning rate decays
-    linearly from lr to lr_min over all steps, one value per window.
-    ``exact`` mode steps through a block one window at a time.  ``neg`` mode
-    draws the negatives from the same stream, after the epoch's order and in
-    window order, one chunk of ``CHUNK_BLOCKS`` blocks at a time, and takes
-    each block as one step on the parameters as they were at its start (see
-    ``_neg_block``).  A fixed seed gives the same model, bit for bit.  Each
-    epoch's mean loss, window count and windows/s are logged at INFO level;
-    a non-finite loss raises ``TrainingError`` naming its step.
+    linearly from lr to lr_min over all steps, one value per window.  Both
+    objectives gather the context rows of ``CHUNK_BLOCKS`` blocks at a time
+    straight from the corpus tokens (``window_context``), so no array holds
+    every window's context.  ``exact`` mode steps through a block one window
+    at a time.  ``neg`` mode draws a chunk's negatives from the same stream,
+    after the epoch's order and in window order, and takes each block as one
+    step on the parameters as they were at its start (see ``_neg_block``).
+    A fixed seed gives the same model, bit for bit.  Each epoch's mean loss,
+    window count and windows/s are logged at INFO level; a non-finite loss
+    raises ``TrainingError`` naming its step.
     """
-    targets, context, offsets = context_windows(corpus.tokens, corpus.offsets,
-                                                params.window)
-    n_windows = targets.size
+    tokens = corpus.tokens
+    at, left, right = context_windows(tokens, corpus.offsets, params.window)
+    n_windows = at.size
     if n_windows == 0 and params.epochs > 0:
         raise TrainingError("corpus produced no context windows")
     rng = np.random.default_rng([params.seed, 0x7472])
     neg = params.mode == "neg"
     if neg:
-        draw_noise = _noise_sampler(_noise_distribution(corpus.tokens, m.n))
+        draw_noise = _noise_sampler(_noise_distribution(tokens, m.n))
     block = _block_windows(params)
     chunk = block * CHUNK_BLOCKS
     total = max(params.epochs * n_windows, 1)
@@ -347,10 +327,12 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
         order = rng.permutation(n_windows)
         for c0 in range(0, n_windows, chunk):
             windows = order[c0:c0 + chunk]
+            targets = tokens[at[windows]]
+            rows, bounds = window_context(tokens, at, left, right, windows)
             if neg:
-                out_rows, rows, bounds = _neg_chunk(
-                    targets, context, offsets, draw_noise, params.negatives,
-                    rng, windows)
+                # one call reads the stream as one call per block would
+                out_rows = np.column_stack((targets, draw_noise(
+                    rng.random((windows.size, params.negatives)))))
             for b0 in range(0, windows.size, block):
                 b1 = min(b0 + block, windows.size)
                 lrs = params.lr - (params.lr - params.lr_min) * (
@@ -359,8 +341,8 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
                     losses = _neg_block(m, out_rows[b0:b1], rows,
                                         bounds[b0:b1 + 1], lrs)
                 else:
-                    losses = _exact_block(m, targets, context, offsets,
-                                          windows[b0:b1], lrs)
+                    losses = _exact_block(m, targets[b0:b1], rows,
+                                          bounds[b0:b1 + 1], lrs)
                 bad = np.flatnonzero(~np.isfinite(losses))
                 if bad.size:
                     j = bad[0]

@@ -43,6 +43,11 @@ class Query:
             raise ValueError("seed and hidden sets overlap")
         if not self.seeds or not self.hidden:
             raise ValueError("need at least one seed and one hidden paper")
+        if "" in self.seeds or "" in self.hidden:
+            raise ValueError("empty paper id in the seed or hidden list")
+        if not 0 < self.hidden_ratio < 1:
+            raise ValueError(f"hidden ratio {self.hidden_ratio!r} outside "
+                             "(0, 1)")
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,15 @@ class ExperimentConfig:
                         raise ValueError(f"repeated {name}: {v!r}")
                     raise ValueError(f"{name}s {first!r} and {v!r} both "
                                      f"print as {keys[i]}")
+        # build_queries seeds each ratio's stream with its thousandths
+        streams = [int(round(r * 1000)) for r in self.hidden_ratios]
+        for i, s in enumerate(streams):
+            if s in streams[:i]:
+                first = self.hidden_ratios[streams.index(s)]
+                raise ValueError(
+                    f"hidden ratios {first!r} and {self.hidden_ratios[i]!r} "
+                    f"both round to {s / 1000:g} and would draw the same "
+                    "queries")
 
 
 def hidden_count(n_refs, ratio):

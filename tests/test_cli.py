@@ -325,6 +325,9 @@ def test_evaluate_samples_with_walk_params(dataset, monkeypatch):
     ("--ratios", "0.1,0.1", "repeated hidden ratio: 0.1"),
     ("--ratios", "0.1,0.1000001",
      "hidden ratios 0.1 and 0.1000001 both print as 0.1"),
+    ("--ratios", "0.1,0.1004",
+     "hidden ratios 0.1 and 0.1004 both round to 0.1 and would draw the "
+     "same queries"),
     ("--queries", "0", "n_queries must be >= 1"),
     ("--queries", "-5", "n_queries must be >= 1"),
 ])

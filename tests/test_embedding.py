@@ -17,7 +17,8 @@ from citerec.embedding import (EmbeddingModel, TrainParams, TrainingError,
                                _block_windows, _exact_block, _load_matrix,
                                _neg_block, _noise_distribution, _noise_sampler,
                                _sigmoid, context_windows, forward, init_model,
-                               load_model, save_model, softmax, train)
+                               load_model, save_model, softmax, train,
+                               window_context)
 from .conftest import corpus_of, make_planted_graph
 
 
@@ -30,8 +31,9 @@ def extract_windows(sequences, w):
 
     Context is the symmetric window of half-width w around the target,
     target excluded, duplicates kept.  Positions with an empty context are
-    skipped.  This is the reference for ``context_windows``, which returns
-    the same windows as flat arrays and is what ``train`` uses.
+    skipped.  This is the reference for ``context_windows`` and
+    ``window_context``, which give the same windows from the flat corpus and
+    are what ``train`` uses.
     """
     if w < 1:
         raise ValueError("window must be >= 1")
@@ -68,29 +70,41 @@ def test_extract_windows_keeps_duplicates():
     assert target == 1 and list(ctx) == [0, 0]
 
 
+def gathered_windows(corpus, w, windows=None):
+    """``(target, context)`` of ``windows``, all by default, in that order,
+    through ``window_context``, whose output's types it checks."""
+    tokens = corpus.tokens
+    at, left, right = corpus_windows(corpus, w)
+    if windows is None:
+        windows = np.arange(at.size)
+    rows, bounds = window_context(tokens, at, left, right, windows)
+    assert rows.dtype == np.intp and bounds.dtype == np.int64
+    assert bounds[0] == 0 and bounds.size == windows.size + 1
+    assert bounds[-1] == rows.size
+    return [(int(tokens[at[i]]), rows[bounds[j]:bounds[j + 1]].tolist())
+            for j, i in enumerate(windows)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 6), max_size=12), max_size=8),
        st.integers(1, 14))
 def test_context_windows_match_extract_windows(sequences, w):
-    targets, context, offsets = corpus_windows(corpus_of(sequences), w)
-    expected = list(extract_windows(sequences, w))
-    assert targets.dtype == context.dtype == np.int32
-    assert offsets.dtype == np.int64
-    assert offsets[0] == 0 and offsets.size == targets.size + 1
-    assert offsets[-1] == context.size
-    assert [int(t) for t in targets] == [t for t, _ in expected]
-    for i, (_, ctx) in enumerate(expected):
-        assert context[offsets[i]:offsets[i + 1]].tolist() == ctx.tolist()
+    expected = [(t, ctx.tolist()) for t, ctx in extract_windows(sequences, w)]
+    assert gathered_windows(corpus_of(sequences), w) == expected
 
 
-def test_context_windows_span_chunks():
-    # more windows than one chunk holds at w=3, with ragged sequences
+def test_window_context_gathers_shuffled_subset():
+    # train gathers a chunk of an epoch's shuffled order: a subset of the
+    # windows, out of corpus order, here from lines of every short length
+    # and with a window wider than every line
     rng = np.random.default_rng(0)
-    seqs = [rng.integers(0, 50, size=rng.integers(0, 30)) for _ in range(2000)]
-    targets, context, offsets = corpus_windows(corpus_of(seqs), 3)
-    expected = list(extract_windows(seqs, 3))
-    assert targets.tolist() == [t for t, _ in expected]
-    assert context.tolist() == np.concatenate([c for _, c in expected]).tolist()
+    seqs = [[], [3], [4, 4], [1, 2],
+            *(rng.integers(0, 50, size=rng.integers(0, 30))
+              for _ in range(200)), [], [9]]
+    expected = [(t, ctx.tolist()) for t, ctx in extract_windows(seqs, 40)]
+    order = rng.permutation(len(expected))[:len(expected) // 3]
+    assert (gathered_windows(corpus_of(seqs), 40, order)
+            == [expected[i] for i in order])
 
 
 def test_forward_uniform_for_zero_output_matrix():
@@ -201,7 +215,7 @@ def exact_step_errors(m, target, ctx, lr):
         (m.w_in, m.w_out))
     w_in0, w_out0 = m.w_in.copy(), m.w_out.copy()
     _exact_block(m, np.array([target]), ctx, np.array([0, ctx.size]),
-                 np.array([0]), np.array([lr]))
+                 np.array([lr]))
     return (max_rel_err(m.w_in - w_in0, -lr * d_in),
             max_rel_err(m.w_out - w_out0, -lr * d_out))
 

@@ -449,6 +449,9 @@ def test_read_queries_skips_whitespace_only_lines(tmp_path):
     ("q2\t20x7\t0.1\ta\tb", "invalid literal for int() with base 10: '20x7'"),
     ("q2\t2007\tten\ta\tb", "could not convert string to float: 'ten'"),
     ("q2\t2007\t0.1\ta,b\tb", "seed and hidden sets overlap"),
+    ("q2\t2007\t0.1\t\tb", "empty paper id in the seed or hidden list"),
+    ("q2\t2007\t0.1\ta,,c\tb", "empty paper id in the seed or hidden list"),
+    ("q2\t2007\tnan\ta\tb", "hidden ratio nan outside (0, 1)"),
 ])
 def test_read_queries_names_bad_line(tmp_path, line, message):
     path = tmp_path / "q.tsv"
@@ -462,13 +465,15 @@ def test_read_queries_names_bad_line(tmp_path, line, message):
 # query files separate fields by tabs and ids by commas; '#' opens a comment
 query_ids = st.text(st.characters(exclude_categories=("C",),
                                   exclude_characters=","), max_size=5)
+# a paper id is never empty
+paper_ids = query_ids.filter(len)
 
 
 @st.composite
 def query_lists(draw):
     queries = []
     for _ in range(draw(st.integers(0, 5))):
-        ids = draw(st.lists(query_ids, min_size=2, max_size=6, unique=True))
+        ids = draw(st.lists(paper_ids, min_size=2, max_size=6, unique=True))
         n_seeds = draw(st.integers(1, len(ids) - 1))
         queries.append(Query(
             query_id=draw(query_ids.filter(lambda t: not t.startswith("#"))),
@@ -510,19 +515,23 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError, match="n_queries must be >= 1"):
             ExperimentConfig(n_queries=n)
     # each names the first entry equal to an earlier one; ratios are equal
-    # when they print alike (:g), as the report and queries file write them
+    # when they print alike (:g), as the report and queries file write them,
+    # and are rejected, too, when they would seed one query stream
     for field, values, message in [
             ("methods", ("cf", "citmod", "cf"),
              "repeated ranking method: 'cf'"),
             ("k_values", (10, 50, 50, 10), "repeated k value: 50"),
             ("hidden_ratios", (0.1, 0.9, 0.1), "repeated hidden ratio: 0.1"),
             ("hidden_ratios", (0.5, 0.1, 0.1000001),
-             "hidden ratios 0.1 and 0.1000001 both print as 0.1")]:
+             "hidden ratios 0.1 and 0.1000001 both print as 0.1"),
+            ("hidden_ratios", (0.5, 0.1, 0.1004),
+             "hidden ratios 0.1 and 0.1004 both round to 0.1 and would "
+             "draw the same queries")]:
         with pytest.raises(ValueError) as err:
             ExperimentConfig(**{field: values})
         assert str(err.value) == message
     ExperimentConfig(methods=("random",), k_values=(1,), n_queries=1,
-                     hidden_ratios=(0.1, 0.10001))
+                     hidden_ratios=(0.1, 0.101))
 
 
 def test_evaluate_without_embedding_methods_samples_and_trains_nothing(
