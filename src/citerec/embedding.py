@@ -2,15 +2,15 @@
 its context papers' vectors.
 
 Two objectives are supported.  Exact softmax optimizes -log Pr(target |
-context) with a full softmax over the vocabulary, one window at a time; it
-is the reference mode.  Negative sampling optimizes the usual sampled
-surrogate (k negatives drawn from a unigram^0.75 noise distribution over
-corpus frequencies) and scales to large graphs: each block of windows is one
-set of array operations, and, as in word2vec's CBOW, every context row gets
-the whole context error rather than its share of the mean's gradient.  Both
-cut each window's context from the corpus tokens when its chunk of windows
-is trained.  The test suite checks one step of each objective against
-central finite differences of its loss.
+context) with a full softmax over the vocabulary; it is the reference mode.
+Negative sampling optimizes the usual sampled surrogate (k negatives drawn
+from a unigram^0.75 noise distribution over corpus frequencies) and scales
+to large graphs; as in word2vec's CBOW, every context row gets the whole
+context error rather than its share of the mean's gradient.  Both take each
+block of windows as one set of array operations on the parameters as they
+were at the block's start, and both cut each window's context from the
+corpus tokens when its chunk of windows is trained.  The test suite checks
+the steps of each objective against central finite differences of its loss.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ CHUNK_BLOCKS = 32
 # holds two rows of positive weight on a 5k-paper co-citation corpus, so a
 # draw there takes one halving step.
 NOISE_BUCKETS = 1 << 16
+# Most (windows x rows) floats in one exact-softmax block, which holds two
+# such arrays at once (logits and probabilities): 16 MiB on any graph.  It
+# binds only past 5,140 rows at dim 32, window 10; on a 46,812-row graph an
+# exact block is 22 windows, not 204 (76 MB of probabilities).
+EXACT_BLOCK_FLOATS = 1 << 20
 
 
 class TrainingError(RuntimeError):
@@ -148,9 +153,12 @@ def window_context(tokens, at, left, right, windows):
 
 
 def softmax(logits):
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+    """Softmax along the last axis: each row of a 2-D array is one
+    distribution, with the same bits as the softmax of that row alone."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def forward(m: EmbeddingModel, context):
@@ -214,33 +222,27 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _block_windows(params: TrainParams):
-    """Windows per training block, so that a block gathers at most about
-    ``TRAIN_BLOCK_FLOATS`` floats of context vectors, whatever the window
-    and dim."""
-    return max(1, TRAIN_BLOCK_FLOATS // (2 * params.window * params.dim))
+def _block_windows(params: TrainParams, n):
+    """Windows per training block on a model of n rows, so that a block
+    gathers at most about ``TRAIN_BLOCK_FLOATS`` floats of context vectors,
+    whatever the window and dim, and an exact block holds at most
+    ``EXACT_BLOCK_FLOATS`` probabilities."""
+    block = max(1, TRAIN_BLOCK_FLOATS // (2 * params.window * params.dim))
+    if params.mode == "exact":
+        block = max(1, min(block, EXACT_BLOCK_FLOATS // n))
+    return block
 
 
-def _exact_block(m, targets, rows, bounds, lrs):
-    """Exact-softmax steps, one window after another, the sequential
-    reference: window j predicts ``targets[j]`` from
-    ``rows[bounds[j]:bounds[j + 1]]``.  Returns each step's loss."""
-    w_in, w_out = m.w_in, m.w_out
-    losses = np.empty(targets.size)
-    steps = zip(lrs.tolist(), targets.tolist(), bounds[:-1].tolist(),
-                bounds[1:].tolist())
-    for j, (lr, target, lo, hi) in enumerate(steps):
-        ctx = rows[lo:hi]
-        # the sum divided by the count is bit for bit what mean() returns
-        h = w_in.take(ctx, axis=0).sum(axis=0) / (hi - lo)
-        probs = softmax(w_out @ h)
-        losses[j] = -np.log(probs[target])
-        dlogits = probs
-        dlogits[target] -= 1.0
-        dh = w_out.T @ dlogits
-        w_out -= lr * np.outer(dlogits, h)
-        np.add.at(w_in, ctx, -lr * dh / (hi - lo))
-    return losses
+def _context_mean(w_in, rows, bounds):
+    """``(rows, counts, h)`` of a block whose window j has the context rows
+    ``rows[bounds[j]:bounds[j + 1]]``: the block's context rows, each
+    window's context size and each window's mean context vector."""
+    rows = rows[bounds[0]:bounds[-1]]
+    counts = np.diff(bounds)
+    # take() copies the same rows as indexing, in half the time
+    h = (np.add.reduceat(w_in.take(rows, axis=0), bounds[:-1] - bounds[0],
+                         axis=0) / counts[:, None])
+    return rows, counts, h
 
 
 def _scatter_add(w, rows, values):
@@ -260,6 +262,34 @@ def _scatter_add(w, rows, values):
     np.add.at(w.reshape(-1), flat, values.reshape(-1))
 
 
+def _exact_block(m, targets, rows, bounds, lrs):
+    """Exact-softmax steps for one block as one set of array operations:
+    window j predicts ``targets[j]`` from ``rows[bounds[j]:bounds[j + 1]]``.
+
+    As in ``_neg_block``, every read comes from the parameters as they were
+    at the start of the block, and every update is then added.  Each
+    context row gets its share ``dh / |ctx|`` of the context error, the
+    gradient through the mean, so the step is -lr times the true gradient of
+    the summed block loss.  The three products run as ``np.einsum``, numpy's
+    own loops rather than BLAS, so the bits do not depend on the BLAS thread
+    count.  Returns each step's loss.
+    """
+    w_in, w_out = m.w_in, m.w_out
+    rows, counts, h = _context_mean(w_in, rows, bounds)
+    dlogits = softmax(np.einsum("bd,nd->bn", h, w_out))
+    hit = np.arange(targets.size), targets
+    losses = -np.log(dlogits[hit])
+    dlogits[hit] -= 1.0
+    dh = np.einsum("bn,nd->bd", dlogits, w_out)
+    # -(a * b) == (-a) * b bit for bit, so the small factor is negated
+    neg_lr = -lrs[:, None]
+    dlogits *= neg_lr
+    w_out += np.einsum("bn,bd->nd", dlogits, h)
+    _scatter_add(w_in, rows, np.repeat(neg_lr * dh / counts[:, None], counts,
+                                       axis=0))
+    return losses
+
+
 def _neg_block(m, out_rows, rows, bounds, lrs):
     """Negative-sampling steps for one block as one set of array operations:
     window j predicts ``out_rows[j]`` from ``rows[bounds[j]:bounds[j + 1]]``.
@@ -269,17 +299,13 @@ def _neg_block(m, out_rows, rows, bounds, lrs):
     target drawn as its own negative, a context paper in two windows) gets
     both updates.  Each context row gets the whole context error ``dh``,
     undivided by the context size, as word2vec's CBOW applies ``neu1e``;
-    the exact gradient of the mean would divide it.  Returns each step's
-    loss.
+    the exact gradient of the mean divides it, as ``_exact_block`` does.
+    Returns each step's loss.
     """
     w_in, w_out = m.w_in, m.w_out
     labels = np.zeros(out_rows.shape[1])
     labels[0] = 1.0
-    rows = rows[bounds[0]:bounds[-1]]
-    counts = np.diff(bounds)
-    # take() copies the same rows as indexing, in half the time
-    h = (np.add.reduceat(w_in.take(rows, axis=0), bounds[:-1] - bounds[0],
-                         axis=0) / counts[:, None])
+    rows, counts, h = _context_mean(w_in, rows, bounds)
     wo = w_out.take(out_rows, axis=0)
     scores = _sigmoid(np.einsum("bkd,bd->bk", wo, h))
     derr = scores - labels
@@ -296,15 +322,15 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
     """SGD over shuffled context windows; returns the updated model.
 
     Each epoch visits the windows in an order drawn from one RNG stream, in
-    blocks of ``_block_windows(params)`` windows.  Learning rate decays
+    blocks of ``_block_windows(params, m.n)`` windows.  Learning rate decays
     linearly from lr to lr_min over all steps, one value per window.  Both
     objectives gather the context rows of ``CHUNK_BLOCKS`` blocks at a time
     straight from the corpus tokens (``window_context``), so no array holds
-    every window's context.  ``exact`` mode steps through a block one window
-    at a time.  ``neg`` mode draws a chunk's negatives from the same stream,
-    after the epoch's order and in window order, and takes each block as one
-    step on the parameters as they were at its start (see ``_neg_block``).
-    A fixed seed gives the same model, bit for bit.  Each epoch's mean loss,
+    every window's context, and take each block as one step on the
+    parameters as they were at its start (``_exact_block``, ``_neg_block``).
+    ``neg`` mode draws a chunk's negatives from the same stream, after the
+    epoch's order and in window order.  A fixed seed gives the same model,
+    bit for bit, whatever the BLAS thread count.  Each epoch's mean loss,
     window count and windows/s are logged at INFO level; a non-finite loss
     raises ``TrainingError`` naming its step.
     """
@@ -317,7 +343,7 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
     neg = params.mode == "neg"
     if neg:
         draw_noise = _noise_sampler(_noise_distribution(tokens, m.n))
-    block = _block_windows(params)
+    block = _block_windows(params, m.n)
     chunk = block * CHUNK_BLOCKS
     total = max(params.epochs * n_windows, 1)
     step = 0

@@ -40,7 +40,8 @@ def test_criterion_1_gradient_correctness():
     hold the target and one row drawn twice."""
     t0 = time.time()
     ctx = [2, 6, 6, 11]
-    exact = max(exact_step_errors(gradient_check_model(), 1, ctx, lr=0.1))
+    exact = max(exact_step_errors(gradient_check_model(), [(1, ctx)],
+                                  lr=0.1))
     loss_err, neg_in, neg_out = neg_step_errors(
         gradient_check_model(), [1, 4, 1, 9, 9, 3], ctx, lr=0.1)
     neg = max(neg_in, neg_out)

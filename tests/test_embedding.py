@@ -1,6 +1,9 @@
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -136,6 +139,16 @@ def test_forward_normalization_and_shift_invariance():
     assert np.allclose(forward(shifted, [2, 5, 7]), probs, atol=1e-9)
 
 
+def test_softmax_rows_match_one_row_softmax():
+    rng = np.random.default_rng(4)
+    logits = rng.normal(scale=30.0, size=(7, 50))
+    probs = softmax(logits)
+    assert probs.shape == logits.shape
+    for row, got in zip(logits, probs):
+        assert np.array_equal(softmax(row).view(np.uint64), got.view(np.uint64))
+    assert np.allclose(probs.sum(axis=1), 1.0)
+
+
 def test_forward_unknown_id_errors():
     m = EmbeddingModel(["a"], np.ones((1, 2)), np.zeros((1, 2)))
     for rows in ([1], [-1], [0, 1]):
@@ -205,17 +218,21 @@ def gradient_check_model(seed=11):
                           rng.normal(scale=0.3, size=(n, d)))
 
 
-def exact_step_errors(m, target, ctx, lr):
+def exact_step_errors(m, windows, lr):
     """Max relative errors ``(w_in, w_out)`` of one ``_exact_block`` step on
-    one window against -lr times the finite-difference gradient of
-    ``exact_window_loss``."""
-    ctx = np.asarray(ctx)
+    a block of ``(target, context)`` windows against -lr times the
+    finite-difference gradient of the windows' summed ``exact_window_loss``
+    at the parameters before the step."""
+    targets = np.array([t for t, _ in windows])
+    contexts = [np.asarray(ctx) for _, ctx in windows]
     d_in, d_out = central_differences(
-        lambda: exact_window_loss(m.w_in, m.w_out, target, ctx),
+        lambda: sum(exact_window_loss(m.w_in, m.w_out, t, ctx)
+                    for t, ctx in zip(targets, contexts)),
         (m.w_in, m.w_out))
     w_in0, w_out0 = m.w_in.copy(), m.w_out.copy()
-    _exact_block(m, np.array([target]), ctx, np.array([0, ctx.size]),
-                 np.array([lr]))
+    bounds = np.cumsum([0] + [ctx.size for ctx in contexts])
+    _exact_block(m, targets, np.concatenate(contexts), bounds,
+                 np.full(targets.size, lr))
     return (max_rel_err(m.w_in - w_in0, -lr * d_in),
             max_rel_err(m.w_out - w_out0, -lr * d_out))
 
@@ -243,9 +260,14 @@ def neg_step_errors(m, out_rows, ctx, lr):
             max_rel_err(m.w_out - w_out0, -lr * d_out))
 
 
-@pytest.mark.parametrize("ctx", [[5], [2, 6, 6, 11]])
-def test_exact_step_matches_finite_differences(ctx):
-    err_in, err_out = exact_step_errors(gradient_check_model(seed=2), 1, ctx,
+# one window, one window that repeats a context row, and a block whose
+# first two windows share target 1 and whose context row 6 is in two
+# windows, so the step adds two updates to one w_out row and one w_in row
+@pytest.mark.parametrize("windows", [
+    [(1, [5])], [(1, [2, 6, 6, 11])],
+    [(1, [2, 6]), (1, [6, 11, 3]), (4, [5])]])
+def test_exact_step_matches_finite_differences(windows):
+    err_in, err_out = exact_step_errors(gradient_check_model(seed=2), windows,
                                         lr=0.1)
     assert err_in < 1e-4 and err_out < 1e-4, (err_in, err_out)
 
@@ -294,18 +316,21 @@ def reference_train(m, corpus, params):
     """The trainer that ``train`` must reproduce bit for bit, one window at
     a time; returns each epoch's mean loss.
 
-    ``exact`` mode steps through the windows in order.  ``neg`` mode takes
-    each block of windows as one step: every window reads the parameters as
-    they were at the start of its block, then every update is applied in
-    step order, each repeated row included, and each context row gets the
-    undivided context error.  Each block draws its own negatives by
-    ``np.searchsorted`` on the noise CDF; a draw past the CDF's end goes to
-    the last row of positive weight.
+    Both modes take each block of windows as one step: every window reads
+    the parameters as they were at the start of its block, then every update
+    is applied in step order, each repeated row included.  ``exact`` mode
+    computes the block's softmax and its two gradient products with the
+    same ``np.einsum`` calls as ``train``, since their bits depend on how a
+    product is taken, and each context row gets its share of the context
+    error.  ``neg`` mode gives each context row the undivided context
+    error.  Each block draws its own negatives by ``np.searchsorted`` on the
+    noise CDF; a draw past the CDF's end goes to the last row of positive
+    weight.
     """
     windows = list(extract_windows(corpus.sequences, params.window))
     rng = np.random.default_rng([params.seed, 0x7472])
     w_in, w_out = m.w_in, m.w_out
-    block = _block_windows(params)
+    block = _block_windows(params, m.n)
     if params.mode == "neg":
         noise = _noise_distribution(corpus.tokens, m.n)
         noise_cdf = np.cumsum(noise)
@@ -324,18 +349,24 @@ def reference_train(m, corpus, params):
                 negs = np.minimum(np.searchsorted(
                     noise_cdf, rng.random((blk.size, params.negatives))), last)
                 in0, out0 = w_in.copy(), w_out.copy()
+            else:
+                lrs = np.array([params.lr - (params.lr - params.lr_min)
+                                * ((step + j) / total)
+                                for j in range(blk.size)])
+                # a one-segment reduceat adds in train's order
+                hs = np.array([np.add.reduceat(w_in[windows[wi][1]], [0])[0]
+                               / windows[wi][1].size for wi in blk])
+                probs = softmax(np.einsum("bd,nd->bn", hs, w_out))
+                dlogits = probs - np.eye(m.n)[[windows[wi][0] for wi in blk]]
+                dhs = np.einsum("bn,nd->bd", dlogits, w_out)
+                w_out += np.einsum("bn,bd->nd", -lrs[:, None] * dlogits, hs)
             for j, wi in enumerate(blk):
                 target, rows = windows[wi]
                 lr = params.lr - (params.lr - params.lr_min) * (step / total)
                 if params.mode == "exact":
-                    h = w_in[rows].mean(axis=0)
-                    probs = softmax(w_out @ h)
-                    loss = -np.log(probs[target])
-                    dlogits = probs
-                    dlogits[target] -= 1.0
-                    dh = w_out.T @ dlogits
-                    w_out -= lr * np.outer(dlogits, h)
-                    np.add.at(w_in, rows, -lr * dh / rows.size)
+                    loss = -np.log(probs[j, target])
+                    for c in rows:
+                        w_in[c] += -lr * dhs[j] / rows.size
                 else:
                     out_rows = [target, *negs[j]]
                     # a one-segment reduceat adds in train's order, which
@@ -395,13 +426,13 @@ def test_train_byte_identical_to_reference(kind, mode, dim, chunked,
         monkeypatch.setattr(embedding, "TRAIN_BLOCK_FLOATS",
                             2 * params.window * dim * 350)
         monkeypatch.setattr(embedding, "CHUNK_BLOCKS", 2)
-        block = _block_windows(params)
+        block = _block_windows(params, g.n)
         n_blocks = -(-n_windows // block)
         assert n_blocks > embedding.CHUNK_BLOCKS
         assert n_blocks % embedding.CHUNK_BLOCKS and n_windows % block
     elif dim == 16:
         # about two blocks in each epoch
-        assert n_windows > _block_windows(params)
+        assert n_windows > _block_windows(params, g.n)
     if kind == "biased":
         assert any(len(np.unique(s)) < len(s) for s in corpus.sequences)
     m = train(init_model(g, params), corpus, params)
@@ -409,6 +440,61 @@ def test_train_byte_identical_to_reference(kind, mode, dim, chunked,
     reference_train(ref, corpus, params)
     assert np.array_equal(m.w_in.view(np.uint64), ref.w_in.view(np.uint64))
     assert np.array_equal(m.w_out.view(np.uint64), ref.w_out.view(np.uint64))
+
+
+def test_exact_block_cap(monkeypatch):
+    params = TrainParams(dim=32, window=10, mode="exact")
+    # criterion 5's graph and the 5k benchmark graph's 2009 slice train in
+    # uncapped blocks; a 46,812-row graph does not
+    assert _block_windows(params, 1000) == _block_windows(params, 4669) == 204
+    assert _block_windows(params, 46812) == 22
+    assert _block_windows(params, 10 ** 7) == 1
+    assert _block_windows(TrainParams(dim=32, window=10, mode="neg"),
+                          46812) == 204
+    # a cap that binds keeps train and the reference on the same blocks
+    g, corpora = reference_corpora()
+    params = TrainParams(dim=6, window=5, epochs=2, mode="exact", seed=4)
+    monkeypatch.setattr(embedding, "EXACT_BLOCK_FLOATS", 7 * g.n + 3)
+    assert _block_windows(params, g.n) == 7
+    m = train(init_model(g, params), corpora["biased"], params)
+    ref = init_model(g, params)
+    reference_train(ref, corpora["biased"], params)
+    assert np.array_equal(m.w_in.view(np.uint64), ref.w_in.view(np.uint64))
+    assert np.array_equal(m.w_out.view(np.uint64), ref.w_out.view(np.uint64))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# one epoch of each objective on criterion 5's graph, whose exact blocks
+# are 204 x 1000 products, well past the size where OpenBLAS starts threads
+TRAIN_BOTH_MODES = """
+import sys
+import numpy as np
+from citerec.embedding import TrainParams, init_model, train
+from citerec.sampling import cocitation_corpus
+from tests.conftest import make_planted_graph
+
+g, _ = make_planted_graph(n_clusters=4, targets=150, citers=100, refs=10,
+                          seed=7)
+corpus = cocitation_corpus(g, 10, seed=1)
+for mode in ("exact", "neg"):
+    params = TrainParams(dim=32, window=10, epochs=1, mode=mode, seed=2)
+    m = train(init_model(g, params), corpus, params)
+    np.save(f"{sys.argv[1]}/{mode}.npy", np.stack([m.w_in, m.w_out]))
+"""
+
+
+def test_train_bits_do_not_depend_on_blas_threads(tmp_path):
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+        subprocess.run([sys.executable, "-c", TRAIN_BOTH_MODES,
+                        str(tmp_path / threads)],
+                       cwd=ROOT, env=env, check=True, timeout=600)
+    for mode in ("exact", "neg"):
+        one, two = (np.load(tmp_path / t / f"{mode}.npy") for t in "12")
+        assert np.array_equal(one.view(np.uint64), two.view(np.uint64)), mode
 
 
 # token counts (1, 5, 5): the noise CDF ends 2.2e-16 below 1
