@@ -62,9 +62,7 @@ def paperrank(g: CitationGraph, seeds, params: PageRankParams = None):
     """
     if params is None:
         params = PageRankParams()
-    seed_rows = np.array(sorted({g.index_of(s) for s in seeds}), dtype=np.int64)
-    if seed_rows.size == 0:
-        raise ValueError("seed set must be non-empty")
+    seed_rows = g.seed_rows(seeds)
     lam = params.damping
     restart = np.zeros(g.n)
     restart[seed_rows] = 1.0 / seed_rows.size
@@ -128,9 +126,7 @@ def cf_scores(g: CitationGraph, seeds):
     added seed by seed in ascending index order, in memory proportional to
     the pairs, not to seeds x papers.
     """
-    seed_rows = np.array(sorted({g.index_of(s) for s in seeds}), dtype=np.int64)
-    if seed_rows.size == 0:
-        raise ValueError("seed set must be non-empty")
+    seed_rows = g.seed_rows(seeds)
     norms = np.sqrt(np.diff(g.cit_indptr).astype(np.float64))
     citers, counts = csr_gather(g.cit_indptr, g.cit_indices, seed_rows)
     pos = np.repeat(np.arange(seed_rows.size), counts)

@@ -292,10 +292,8 @@ def main(argv=None):
             argv = [argv[0]] + apply_config_defaults(argv[1:])
         args = ap.parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, OSError, TrainingError) as exc:
-        # str() of a KeyError is the repr of its message, quotes and all
-        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {msg}", file=sys.stderr)
+    except (ValueError, OSError, TrainingError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CitationGraph, GraphError, is_token, text_lines
+from .graph import CitationGraph, GraphError, PaperIds, is_token, text_lines
 from .sampling import WalkCorpus
 
 
@@ -40,10 +40,10 @@ CHUNK_BLOCKS = 32
 # holds two rows of positive weight on a 5k-paper co-citation corpus, so a
 # draw there takes one halving step.
 NOISE_BUCKETS = 1 << 16
-# Most (windows x rows) floats in one exact-softmax block, which holds two
-# such arrays at once (logits and probabilities): 16 MiB on any graph.  It
-# binds only past 5,140 rows at dim 32, window 10; on a 46,812-row graph an
-# exact block is 22 windows, not 204 (76 MB of probabilities).
+# Most (windows x rows) floats in one exact-softmax block, whose logits
+# become its probabilities in place: 8 MiB on any graph.  It binds only past
+# 5,140 rows at dim 32, window 10; on a 46,812-row graph an exact block is
+# 22 windows, not 204 (76 MB of probabilities).
 EXACT_BLOCK_FLOATS = 1 << 20
 
 
@@ -73,18 +73,17 @@ class TrainParams:
             raise ValueError("negatives must be >= 1")
 
 
-class EmbeddingModel:
+class EmbeddingModel(PaperIds):
     """Input matrix (row v = embedding of paper v), output matrix (row i
     produces the logit of paper i) and the paper-id vocabulary."""
 
     def __init__(self, ids, w_in, w_out):
-        self.ids = list(ids)
+        super().__init__(ids)
         # contiguous, so that training can update the flat matrices in place
         self.w_in = np.ascontiguousarray(w_in, dtype=np.float64)
         self.w_out = np.ascontiguousarray(w_out, dtype=np.float64)
         if self.w_in.shape != self.w_out.shape or self.w_in.shape[0] != len(self.ids):
             raise ValueError("matrix shapes disagree with vocabulary size")
-        self._index = {tok: i for i, tok in enumerate(self.ids)}
 
     @property
     def n(self):
@@ -93,15 +92,6 @@ class EmbeddingModel:
     @property
     def dim(self):
         return self.w_in.shape[1]
-
-    def __contains__(self, token):
-        return token in self._index
-
-    def index_of(self, token):
-        try:
-            return self._index[token]
-        except KeyError:
-            raise KeyError(f"paper id not in vocabulary: {token!r}") from None
 
 
 def init_model(g: CitationGraph, params: TrainParams):
@@ -153,12 +143,12 @@ def window_context(tokens, at, left, right, windows):
 
 
 def softmax(logits):
-    """Softmax along the last axis: each row of a 2-D array is one
-    distribution, with the same bits as the softmax of that row alone."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
+    """Softmax along the last axis, in place; each row of a 2-D array is
+    one distribution, with the same bits as the softmax of that row alone."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def forward(m: EmbeddingModel, context):
@@ -167,7 +157,7 @@ def forward(m: EmbeddingModel, context):
     if rows.size == 0:
         raise ValueError("context must be non-empty")
     if rows.min() < 0 or rows.max() >= m.n:
-        raise KeyError("context index out of vocabulary range")
+        raise ValueError("context index out of vocabulary range")
     h = m.w_in[rows].mean(axis=0)
     return softmax(m.w_out @ h)
 
@@ -343,6 +333,7 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
     neg = params.mode == "neg"
     if neg:
         draw_noise = _noise_sampler(_noise_distribution(tokens, m.n))
+    block_step = _neg_block if neg else _exact_block
     block = _block_windows(params, m.n)
     chunk = block * CHUNK_BLOCKS
     total = max(params.epochs * n_windows, 1)
@@ -353,22 +344,19 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
         order = rng.permutation(n_windows)
         for c0 in range(0, n_windows, chunk):
             windows = order[c0:c0 + chunk]
-            targets = tokens[at[windows]]
+            # output rows: each window's target, then in neg mode negatives
+            out = tokens[at[windows]]
             rows, bounds = window_context(tokens, at, left, right, windows)
             if neg:
                 # one call reads the stream as one call per block would
-                out_rows = np.column_stack((targets, draw_noise(
+                out = np.column_stack((out, draw_noise(
                     rng.random((windows.size, params.negatives)))))
             for b0 in range(0, windows.size, block):
                 b1 = min(b0 + block, windows.size)
                 lrs = params.lr - (params.lr - params.lr_min) * (
                     np.arange(step, step + b1 - b0) / total)
-                if neg:
-                    losses = _neg_block(m, out_rows[b0:b1], rows,
-                                        bounds[b0:b1 + 1], lrs)
-                else:
-                    losses = _exact_block(m, targets[b0:b1], rows,
-                                          bounds[b0:b1 + 1], lrs)
+                losses = block_step(m, out[b0:b1], rows, bounds[b0:b1 + 1],
+                                    lrs)
                 bad = np.flatnonzero(~np.isfinite(losses))
                 if bad.size:
                     j = bad[0]

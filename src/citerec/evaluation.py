@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import TrainParams, init_model, train
-from .graph import CitationGraph, YEAR_UNKNOWN, text_lines
+from .graph import CitationGraph, GraphError, YEAR_UNKNOWN, text_lines
 from .ranking import ALL_METHODS, EMBEDDING_METHODS, METHODS, recommend
 from .sampling import sample_corpus
 
@@ -310,7 +310,20 @@ def write_report(path, aggregates):
 
 def write_queries(path, queries):
     """One record per line: query_id, year, seeds, hidden (tab-separated;
-    id lists comma-separated)."""
+    id lists comma-separated).  An id that would not read back raises
+    GraphError before anything is written: a query id starting with '#', a
+    seed or hidden id holding ',', or any id holding a tab or a line
+    break."""
+    for q in queries:
+        if q.query_id.startswith("#"):
+            raise GraphError(f"paper id {q.query_id!r} starts with '#' and "
+                             "cannot start a query-file line")
+        for tok, seps in [(q.query_id, "\t\n\r"),
+                          *((t, ",\t\n\r") for t in [*q.seeds, *q.hidden])]:
+            for c in seps:
+                if c in tok:
+                    raise GraphError(f"paper id {tok!r} holds {c!r} and "
+                                     "cannot be written to a query file")
     with open(path, "w", encoding="utf-8") as f:
         f.write("# query_id\tyear\thidden_ratio\tseeds\thidden\n")
         for q in queries:

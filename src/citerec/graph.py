@@ -86,22 +86,46 @@ def _csr_from_keys(keys, n):
     return indptr, keys % n
 
 
-class CitationGraph:
+class PaperIds:
+    """Distinct paper ids (opaque tokens) and their rows: ``ids[i]`` is
+    row i.  Graphs and models both map ids to rows through here."""
+
+    def __init__(self, ids):
+        self.ids = list(ids)
+        self._rows = {tok: i for i, tok in enumerate(self.ids)}
+        if len(self._rows) != len(self.ids):
+            raise GraphError("duplicate paper ids")
+
+    def __contains__(self, token):
+        return token in self._rows
+
+    def index_of(self, token):
+        try:
+            return self._rows[token]
+        except KeyError:
+            raise GraphError(f"unknown paper id: {token!r}") from None
+
+    def seed_rows(self, seeds):
+        """The rows of the seed set ``seeds``, ascending, unique, int64."""
+        rows = np.array(sorted({self.index_of(s) for s in seeds}), np.int64)
+        if rows.size == 0:
+            raise ValueError("seed set must be non-empty")
+        return rows
+
+
+class CitationGraph(PaperIds):
     """Immutable directed citation graph over dense node indices 0..N-1.
 
-    External paper ids (opaque tokens) map bijectively to internal indices;
-    the mapping is fixed at construction and preserved by the binary cache.
+    External paper ids map bijectively to internal indices; the mapping is
+    fixed at construction and preserved by the binary cache.
     """
 
     def __init__(self, ids, years, edges_u, edges_w):
-        self.ids = list(ids)
+        super().__init__(ids)
         self.n = len(self.ids)
         self.years = np.asarray(years, dtype=np.int64)
         if self.years.shape != (self.n,):
             raise GraphError("years array must have one entry per node")
-        self._index = {tok: i for i, tok in enumerate(self.ids)}
-        if len(self._index) != self.n:
-            raise GraphError("duplicate paper ids")
 
         u = np.asarray(edges_u, dtype=np.int64)
         w = np.asarray(edges_w, dtype=np.int64)
@@ -158,15 +182,6 @@ class CitationGraph:
         return cls(ids, year_arr, u, w)
 
     # -- accessors --------------------------------------------------------
-
-    def __contains__(self, token):
-        return token in self._index
-
-    def index_of(self, token):
-        try:
-            return self._index[token]
-        except KeyError:
-            raise GraphError(f"unknown paper id: {token!r}") from None
 
     def refs(self, i):
         """Out-neighbors Ref(i) as a sorted index array."""

@@ -4,6 +4,8 @@ Three embedding-based schemes (cosine against seeds, degree-weighted
 cosine, cosine against the mean seed vector) and one model-based scheme
 that runs the trained predictor with the seeds as context.  ``METHODS``
 registers them with the baselines under the names every caller uses.
+Every method reads its seeds as a set, through ``seed_rows``: a repeated
+seed counts once.
 """
 
 from __future__ import annotations
@@ -15,13 +17,6 @@ import numpy as np
 from .baselines import cf_scores, paperrank
 from .embedding import EmbeddingModel, forward
 from .graph import CitationGraph
-
-
-def _seed_rows(m: EmbeddingModel, seeds):
-    rows = np.array(sorted(m.index_of(s) for s in seeds), dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("seed set must be non-empty")
-    return rows
 
 
 def _cosines(m: EmbeddingModel, refs):
@@ -37,14 +32,14 @@ def _cosines(m: EmbeddingModel, refs):
 
 def sim_avg(m: EmbeddingModel, seeds):
     """Mean cosine similarity to the seed vectors, for every candidate."""
-    return _cosines(m, m.w_in[_seed_rows(m, seeds)]).mean(axis=1)
+    return _cosines(m, m.w_in[m.seed_rows(seeds)]).mean(axis=1)
 
 
 def sim_wgd(m: EmbeddingModel, g: CitationGraph, seeds):
     """Like sim_avg but each seed weighted by 1/degree in the training
     graph; isolated seeds contribute nothing.  Dividing by the degree, not
     multiplying by its inverse, rounds as a per-seed sum of cos/degree."""
-    rows = _seed_rows(m, seeds)
+    rows = m.seed_rows(seeds)
     delta = np.array([g.degree(g.index_of(m.ids[r])) for r in rows])
     live = delta > 0
     cos = _cosines(m, m.w_in[rows[live]])
@@ -53,14 +48,14 @@ def sim_wgd(m: EmbeddingModel, g: CitationGraph, seeds):
 
 def sim_ref(m: EmbeddingModel, seeds):
     """Cosine similarity to the mean of the seed vectors."""
-    rows = _seed_rows(m, seeds)
+    rows = m.seed_rows(seeds)
     return _cosines(m, m.w_in[rows].mean(axis=0, keepdims=True))[:, 0]
 
 
 def cit_mod(m: EmbeddingModel, seeds):
     """Model prediction with the seeds as context: a probability
     distribution over every paper in the vocabulary."""
-    return forward(m, _seed_rows(m, seeds))
+    return forward(m, m.seed_rows(seeds))
 
 
 def rank_scores(ids, scores, exclude, k=None):
@@ -124,7 +119,6 @@ def recommend(method, seeds, k, model: EmbeddingModel = None,
     always excluded from the output."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    seeds = list(dict.fromkeys(seeds))
     if method not in METHODS:
         raise ValueError(f"unknown ranking method: {method!r}")
     meth = METHODS[method]

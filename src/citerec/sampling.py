@@ -71,27 +71,22 @@ class WalkCorpus:
     def save(self, path, graph: CitationGraph):
         """Raises GraphError, before writing, for an id that would not read
         back: one holding whitespace, or one starting a line with '#'."""
-        ids, tokens, offsets = graph.ids, self.tokens, self.offsets
-        spaced = [i for i, tok in enumerate(ids) if not is_token(tok)]
-        hashed = [i for i, tok in enumerate(ids) if tok.startswith("#")]
+        ids, tokens = graph.ids, self.tokens.tolist()
+        bounds = self.offsets.tolist()
+        spaced = {i for i, tok in enumerate(ids) if not is_token(tok)}
+        hashed = {i for i, tok in enumerate(ids) if tok.startswith("#")}
         # only a graph with such ids needs the scan; the first bad line wins
         if spaced or hashed:
-            bad_head = np.zeros(tokens.size, dtype=bool)
-            heads = offsets[:-1][np.diff(offsets) > 0]
-            bad_head[heads] = np.isin(tokens[heads], hashed)
-            bad_tok = np.isin(tokens, spaced)
-            bad = np.flatnonzero(bad_head | bad_tok)
-            if bad.size:
-                line = offsets.searchsorted(bad[0], "right") - 1
-                lo, hi = offsets[line], offsets[line + 1]
-                if bad_head[lo]:
-                    raise GraphError(f"paper id {ids[tokens[lo]]!r} starts "
+            for a, b in zip(bounds, bounds[1:]):
+                if a < b and tokens[a] in hashed:
+                    raise GraphError(f"paper id {ids[tokens[a]]!r} starts "
                                      "with '#' and cannot start a corpus line")
-                worst = tokens[lo:hi][bad_tok[lo:hi]].min()
-                raise GraphError(f"paper id {ids[worst]!r} holds whitespace "
-                                 "and cannot be written to a corpus file")
-        names = [ids[i] for i in tokens.tolist()]
-        bounds = offsets.tolist()
+                bad = spaced.intersection(tokens[a:b])
+                if bad:
+                    raise GraphError(f"paper id {ids[min(bad)]!r} holds "
+                                     "whitespace and cannot be written to a "
+                                     "corpus file")
+        names = [ids[i] for i in tokens]
         with open(path, "w", encoding="utf-8") as f:
             f.write(f"# strategy={self.strategy}")
             for k, v in self.params.items():

@@ -85,7 +85,7 @@ def test_unknown_seed_error_has_no_key_error_quotes(dataset, capsys):
                  "--model", str(d / "model.txt"),
                  "--output", str(d / "rec.csv")]) == 1
     assert capsys.readouterr().err == (
-        "error: paper id not in vocabulary: 'ZZ'\n")
+        "error: unknown paper id: 'ZZ'\n")
 
 
 def test_train_unknown_corpus_id_names_line(dataset, capsys):

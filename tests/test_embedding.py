@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from citerec import embedding
-from citerec.graph import CitationGraph, text_lines
+from citerec.graph import CitationGraph, GraphError, text_lines
 from citerec.sampling import (SamplingParams, cocitation_corpus,
                               generate_walk_corpus)
 from citerec.embedding import (EmbeddingModel, TrainParams, TrainingError,
@@ -142,18 +142,35 @@ def test_forward_normalization_and_shift_invariance():
 def test_softmax_rows_match_one_row_softmax():
     rng = np.random.default_rng(4)
     logits = rng.normal(scale=30.0, size=(7, 50))
-    probs = softmax(logits)
-    assert probs.shape == logits.shape
+    probs = logits.copy()
+    assert softmax(probs) is probs          # the logits become probabilities
     for row, got in zip(logits, probs):
-        assert np.array_equal(softmax(row).view(np.uint64), got.view(np.uint64))
+        assert np.array_equal(softmax(row.copy()).view(np.uint64),
+                              got.view(np.uint64))
     assert np.allclose(probs.sum(axis=1), 1.0)
 
 
 def test_forward_unknown_id_errors():
     m = EmbeddingModel(["a"], np.ones((1, 2)), np.zeros((1, 2)))
     for rows in ([1], [-1], [0, 1]):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             forward(m, rows)
+
+
+def test_model_rejects_duplicate_ids():
+    with pytest.raises(GraphError, match="^duplicate paper ids$"):
+        EmbeddingModel(["a", "a", "b"], np.ones((3, 2)), np.zeros((3, 2)))
+
+
+def test_model_and_graph_raise_one_unknown_id_error():
+    g = CitationGraph.from_edges([("a", "b")])
+    m = EmbeddingModel(g.ids, np.ones((2, 2)), np.zeros((2, 2)))
+    errors = []
+    for ids in (g, m):
+        with pytest.raises(ValueError) as err:
+            ids.index_of("ZZ")
+        errors.append((type(err.value), str(err.value)))
+    assert errors == [(GraphError, "unknown paper id: 'ZZ'")] * 2
 
 
 def test_init_model_contract():

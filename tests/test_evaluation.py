@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citerec import evaluation, ranking
-from citerec.graph import YEAR_UNKNOWN, CitationGraph
+from citerec.graph import YEAR_UNKNOWN, CitationGraph, GraphError
 from citerec.embedding import EmbeddingModel, TrainParams, init_model
 from citerec.evaluation import (ExperimentConfig, Query, build_queries,
                                 check_no_time_leakage, hidden_count,
@@ -429,7 +429,8 @@ def test_time_leakage_names_first_query_of_poisoned_year():
 
 
 def test_query_file_roundtrip(tmp_path):
-    queries = [Query("q1", 2006, ["a", "b"], ["c"], 0.1),
+    # a comma splits only the id lists, so a query id may hold one
+    queries = [Query("q,1", 2006, ["a", "b"], ["c"], 0.1),
                Query("q2", 2007, ["d"], ["e", "f"], 0.5)]
     write_queries(tmp_path / "q.tsv", queries)
     loaded = read_queries(tmp_path / "q.tsv")
@@ -460,6 +461,29 @@ def test_read_queries_names_bad_line(tmp_path, line, message):
     with pytest.raises(ValueError) as err:
         read_queries(path)
     assert str(err.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("query,message", [
+    (Query("#q", 2006, ["a"], ["c"], 0.1),
+     "paper id '#q' starts with '#' and cannot start a query-file line"),
+    (Query("q", 2006, ["a,b", "c\td"], ["e"], 0.1),
+     "paper id 'a,b' holds ',' and cannot be written to a query file"),
+    (Query("q", 2006, ["a"], ["b", "c,d"], 0.1),
+     "paper id 'c,d' holds ',' and cannot be written to a query file"),
+    (Query("q\t1", 2006, ["a"], ["c"], 0.1),
+     "paper id 'q\\t1' holds '\\t' and cannot be written to a query file"),
+    (Query("q", 2006, ["a\nb"], ["c"], 0.1),
+     "paper id 'a\\nb' holds '\\n' and cannot be written to a query file"),
+    (Query("q", 2006, ["a"], ["c\rd"], 0.1),
+     "paper id 'c\\rd' holds '\\r' and cannot be written to a query file"),
+])
+def test_write_queries_rejects_ids_that_do_not_read_back(tmp_path, query,
+                                                         message):
+    path = tmp_path / "q.tsv"
+    with pytest.raises(GraphError) as err:
+        write_queries(path, [Query("q0", 2005, ["x"], ["y"], 0.1), query])
+    assert str(err.value) == message
+    assert not path.exists()
 
 
 # query files separate fields by tabs and ids by commas; '#' opens a comment

@@ -51,6 +51,17 @@ def test_unknown_node_errors(toy_graph):
         toy_graph.index_of("Z")
 
 
+def test_seed_rows_are_the_seed_set(toy_graph):
+    g = toy_graph
+    rows = g.seed_rows(["C", "A", "C", "A"])
+    assert rows.dtype == np.int64
+    assert rows.tolist() == sorted([g.index_of("A"), g.index_of("C")])
+    with pytest.raises(ValueError, match="^seed set must be non-empty$"):
+        g.seed_rows([])
+    with pytest.raises(GraphError, match="^unknown paper id: 'Z'$"):
+        g.seed_rows(["A", "Z"])
+
+
 def test_time_slice():
     g = CitationGraph.from_edges(
         [("C", "A"), ("B", "A")],

@@ -158,7 +158,8 @@ def _cosine_to_all(m: EmbeddingModel, vec):
 
 
 def _reference_rows(m, seeds):
-    return np.array(sorted(m.index_of(s) for s in seeds), dtype=np.int64)
+    """The rows of the seed set: a repeated seed counts once."""
+    return np.array(sorted({m.index_of(s) for s in seeds}), dtype=np.int64)
 
 
 def reference_sim_avg(m, seeds):
@@ -212,8 +213,11 @@ def models_seeds_graphs(draw, integral):
 
 def _scorer_pairs(m, seeds, g):
     # With integer vectors every dot product is exact whatever its order;
-    # a power-of-two seed count also keeps the mean seed vector exact.
-    ref_seeds = seeds[:1 << (len(seeds).bit_length() - 1)]
+    # a power-of-two count of distinct seeds also keeps the mean seed vector
+    # exact.  Their repeats stay in the list.
+    distinct = list(dict.fromkeys(seeds))
+    kept = set(distinct[:1 << (len(distinct).bit_length() - 1)])
+    ref_seeds = [s for s in seeds if s in kept]
     return [(sim_avg(m, seeds), reference_sim_avg(m, seeds), seeds),
             (sim_wgd(m, g, seeds), reference_sim_wgd(m, g, seeds), seeds),
             (sim_ref(m, ref_seeds), reference_sim_ref(m, ref_seeds),
