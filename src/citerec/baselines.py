@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CitationGraph, csr_gather, sorted_unique
+from .graph import CitationGraph, csr_gather
 
 log = logging.getLogger(__name__)
 
@@ -36,8 +36,9 @@ class PageRankParams:
             raise ValueError("max_iter must be at least 1")
 
 
-def paperrank(g: CitationGraph, seeds, params: PageRankParams = None):
-    """Random walk with restart to the seed set, on the undirected view.
+def paperrank(g: CitationGraph, rows, params: PageRankParams = None):
+    """Random walk with restart to the seed rows ``rows`` (ascending, unique),
+    on the undirected view.
 
     The scores are the fixed point of ``x = λ(A D⁻¹ x + dm·r) + (1−λ) r``:
     adjacency ``A``, degrees ``D``, restart ``r`` uniform on the seeds, and
@@ -62,14 +63,13 @@ def paperrank(g: CitationGraph, seeds, params: PageRankParams = None):
     """
     if params is None:
         params = PageRankParams()
-    seed_rows = g.seed_rows(seeds)
     lam = params.damping
     restart = np.zeros(g.n)
-    restart[seed_rows] = 1.0 / seed_rows.size
+    restart[rows] = 1.0 / rows.size
     deg = g.degrees.astype(np.float64)
     linked = deg > 0
     residual, iters = 0.0, 0
-    if not linked[seed_rows].any():
+    if not linked[rows].any():
         log.debug("paperrank: %d iterations, L1 residual %.3g", iters, residual)
         return restart
     rho = restart[~linked].sum()
@@ -117,8 +117,9 @@ def paperrank(g: CitationGraph, seeds, params: PageRankParams = None):
     return x
 
 
-def cf_scores(g: CitationGraph, seeds):
-    """Item-based CF: citing papers act as users, cited papers as items.
+def cf_scores(g: CitationGraph, rows):
+    """Item-based CF for the seed rows ``rows`` (ascending, unique): citing
+    papers act as users, cited papers as items.
 
     score(d) = sum over seeds s of |Cit(s) ∩ Cit(d)| / (sqrt|Cit(s)| *
     sqrt|Cit(d)|); items nobody cites score 0.  One gather takes every
@@ -126,14 +127,13 @@ def cf_scores(g: CitationGraph, seeds):
     added seed by seed in ascending index order, in memory proportional to
     the pairs, not to seeds x papers.
     """
-    seed_rows = g.seed_rows(seeds)
     norms = np.sqrt(np.diff(g.cit_indptr).astype(np.float64))
-    citers, counts = csr_gather(g.cit_indptr, g.cit_indices, seed_rows)
-    pos = np.repeat(np.arange(seed_rows.size), counts)
+    citers, counts = csr_gather(g.cit_indptr, g.cit_indices, rows)
+    pos = np.repeat(np.arange(rows.size), counts)
     items, counts = csr_gather(g.ref_indptr, g.ref_indices, citers)
     pos = np.repeat(pos, counts)
-    keys, counts = sorted_unique(pos * np.int64(g.n) + items)
+    keys, counts = np.unique(pos * np.int64(g.n) + items, return_counts=True)
     pos, items = keys // g.n, keys % g.n
     scores = np.zeros(g.n)
-    np.add.at(scores, items, counts / (norms[items] * norms[seed_rows[pos]]))
+    np.add.at(scores, items, counts / (norms[items] * norms[rows[pos]]))
     return scores

@@ -28,7 +28,9 @@ def params_hash(params: dict) -> str:
 
 
 def read_config(path):
-    cfg = {}
+    """The ``(line_number, key, value)`` of each ``key = value`` line of
+    ``path``; ``#`` starts a comment."""
+    cfg = []
     for lineno, line in text_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -36,7 +38,7 @@ def read_config(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         k, v = (s.strip() for s in line.split("=", 1))
-        cfg[k] = v
+        cfg.append((lineno, k, v))
     return cfg
 
 
@@ -93,7 +95,7 @@ def cmd_recommend(args):
     ranked = recommend(args.method, seeds, args.k, model=model, graph=graph,
                        pr_params=PageRankParams(damping=args.damping))
     write_ranked_csv(args.output, ranked)
-    print(f"recommend: method={args.method} |S|={len(seeds)} "
+    print(f"recommend: method={args.method} |S|={len(set(seeds))} "
           f"top-{len(ranked)} -> {args.output}")
     return 0
 
@@ -265,8 +267,10 @@ def build_parser():
     return ap
 
 
-def apply_config_defaults(argv):
-    """--config FILE supplies defaults; explicit flags still win."""
+def apply_config_defaults(argv, parser):
+    """--config FILE supplies defaults; explicit flags still win.  Each key
+    must name a flag of the subcommand ``parser``, with ``_`` read as
+    ``-``."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -274,22 +278,26 @@ def apply_config_defaults(argv):
         raise ValueError("--config needs a file argument")
     path = argv[i + 1]
     argv = argv[:i] + argv[i + 2:]
-    cfg = read_config(path)
+    flags = {f for a in parser._actions if a.dest != "help"
+             for f in a.option_strings}
     extra = []
-    for k, v in cfg.items():
+    for lineno, k, v in read_config(path):
         flag = "--" + k.replace("_", "-")
-        if flag not in argv:
-            extra += [flag, v]
-    # injected defaults go before user flags
+        if flag not in flags:
+            raise ValueError(f"{path}:{lineno}: unknown key {k!r}")
+        extra += [flag, v]
+    # injected defaults go before user flags, and argparse keeps the last
     return extra + argv
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
+    commands = ap._subparsers._group_actions[0].choices
     try:
-        if len(argv) > 1:
-            argv = [argv[0]] + apply_config_defaults(argv[1:])
+        if len(argv) > 1 and argv[0] in commands:
+            argv = [argv[0]] + apply_config_defaults(argv[1:],
+                                                     commands[argv[0]])
         args = ap.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, TrainingError) as exc:

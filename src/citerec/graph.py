@@ -57,17 +57,6 @@ def text_lines(path):
                 yield lineno, line.rstrip("\n")
 
 
-def sorted_unique(keys):
-    """``np.unique(keys, return_counts=True)`` for an integer array, by one
-    sort and an adjacent difference, which numpy 2's ``unique`` is many
-    times slower than on int64 keys."""
-    keys = np.sort(keys)
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return keys[starts], np.diff(starts, append=keys.size)
-
-
 def csr_gather(indptr, indices, rows):
     """The members of the CSR rows ``rows``, concatenated in the order
     given, and each row's member count."""
@@ -135,14 +124,17 @@ class CitationGraph(PaperIds):
             log.warning("dropped %d self-loop edge(s)", self.self_loops_dropped)
             u, w = u[keep], w[keep]
         n = np.int64(self.n)
-        keys, _ = sorted_unique(u * n + w)
+        # with return_counts, numpy 2.4's unique sorts; without, it hashes the
+        # keys, about 15x slower on the 5k-paper benchmark graph
+        keys, _ = np.unique(u * n + w, return_counts=True)
         self.duplicate_edges_dropped = u.size - keys.size
         self.m = int(keys.size)
 
         # out-edges keyed citing*n + cited, in-edges cited*n + citing, and
         # their undirected union, deduplicated (mutual citations collapse)
         in_keys = np.sort(keys % n * n + keys // n)
-        all_keys, _ = sorted_unique(np.concatenate([keys, in_keys]))
+        all_keys, _ = np.unique(np.concatenate([keys, in_keys]),
+                                return_counts=True)
         self.ref_indptr, self.ref_indices = _csr_from_keys(keys, n)
         self.cit_indptr, self.cit_indices = _csr_from_keys(in_keys, n)
         self.adj_indptr, self.adj_indices = _csr_from_keys(all_keys, n)

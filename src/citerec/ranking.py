@@ -4,8 +4,9 @@ Three embedding-based schemes (cosine against seeds, degree-weighted
 cosine, cosine against the mean seed vector) and one model-based scheme
 that runs the trained predictor with the seeds as context.  ``METHODS``
 registers them with the baselines under the names every caller uses.
-Every method reads its seeds as a set, through ``seed_rows``: a repeated
-seed counts once.
+``recommend`` turns the seed list into rows once, through ``seed_rows``, so
+every method reads its seeds as a set: a repeated seed counts once.  The
+scorers and ``rank_scores`` take those rows.
 """
 
 from __future__ import annotations
@@ -30,58 +31,41 @@ def _cosines(m: EmbeddingModel, refs):
     return out.T
 
 
-def sim_avg(m: EmbeddingModel, seeds):
-    """Mean cosine similarity to the seed vectors, for every candidate."""
-    return _cosines(m, m.w_in[m.seed_rows(seeds)]).mean(axis=1)
+def sim_avg(m: EmbeddingModel, rows):
+    """Mean cosine similarity to the vectors of the seed rows ``rows``, for
+    every candidate."""
+    return _cosines(m, m.w_in[rows]).mean(axis=1)
 
 
-def sim_wgd(m: EmbeddingModel, g: CitationGraph, seeds):
+def sim_wgd(m: EmbeddingModel, g: CitationGraph, rows):
     """Like sim_avg but each seed weighted by 1/degree in the training
     graph; isolated seeds contribute nothing.  Dividing by the degree, not
     multiplying by its inverse, rounds as a per-seed sum of cos/degree."""
-    rows = m.seed_rows(seeds)
     delta = np.array([g.degree(g.index_of(m.ids[r])) for r in rows])
     live = delta > 0
     cos = _cosines(m, m.w_in[rows[live]])
     return (cos / delta[live]).sum(axis=1) / rows.size
 
 
-def sim_ref(m: EmbeddingModel, seeds):
-    """Cosine similarity to the mean of the seed vectors."""
-    rows = m.seed_rows(seeds)
+def sim_ref(m: EmbeddingModel, rows):
+    """Cosine similarity to the mean vector of the seed rows ``rows``."""
     return _cosines(m, m.w_in[rows].mean(axis=0, keepdims=True))[:, 0]
 
 
-def cit_mod(m: EmbeddingModel, seeds):
-    """Model prediction with the seeds as context: a probability
-    distribution over every paper in the vocabulary."""
-    return forward(m, m.seed_rows(seeds))
-
-
-def rank_scores(ids, scores, exclude, k=None):
-    """Descending-score order, ties broken by ascending internal index,
-    NaN scores last, excluded ids removed, truncated to k.  ``ids`` are
-    distinct.  With ``k`` set, only the ids scoring at least the
-    ``(k + |exclude|)``-th best score are sorted: the first k kept ids lie
-    among them, ties at the cut included."""
+def rank_scores(ids, scores, exclude_rows, k):
+    """The first k (k >= 1) ``(id, score)`` pairs in descending-score order,
+    ties broken by ascending row, NaN scores last, the rows ``exclude_rows``
+    removed.  Only the rows scoring at least the k-th best kept score are
+    sorted: the first k lie among them, ties at the cut included."""
     scores = np.asarray(scores, dtype=np.float64)
     key = -scores  # partition and lexsort both put NaN last
-    excluded = set(exclude)
-    cand = np.arange(key.size)
-    if k is not None and 0 < k < key.size - len(excluded):
-        cut = np.partition(key, k + len(excluded) - 1)[k + len(excluded) - 1]
+    cand = np.delete(np.arange(key.size), exclude_rows)
+    if k < cand.size:
+        cut = np.partition(key[cand], k - 1)[k - 1]
         if not np.isnan(cut):
-            cand = np.flatnonzero(key <= cut)
-    order = cand[np.lexsort((cand, key[cand]))]
-    out = []
-    for i, score in zip(order.tolist(), scores[order].tolist()):
-        tok = ids[i]
-        if tok in excluded:
-            continue
-        out.append((tok, score))
-        if len(out) == k:
-            break
-    return out
+            cand = cand[key[cand] <= cut]
+    order = cand[np.lexsort((cand, key[cand]))][:k]
+    return list(zip([ids[i] for i in order.tolist()], scores[order].tolist()))
 
 
 _INPUTS = {"model": "an embedding model", "graph": "a graph", "rng": "an RNG"}
@@ -89,20 +73,20 @@ _INPUTS = {"model": "an embedding model", "graph": "a graph", "rng": "an RNG"}
 
 class Method(NamedTuple):
     needs: tuple       # the recommend() inputs it uses, keys of _INPUTS
-    score: Callable    # score(model, graph, seeds, pr_params, rng) -> scores
+    score: Callable    # score(model, graph, rows, pr_params, rng) -> scores
 
 
 METHODS = {
-    "simavg": Method(("model",), lambda m, g, s, pr, rng: sim_avg(m, s)),
+    "simavg": Method(("model",), lambda m, g, r, pr, rng: sim_avg(m, r)),
     "simwgd": Method(("model", "graph"),
-                     lambda m, g, s, pr, rng: sim_wgd(m, g, s)),
-    "simref": Method(("model",), lambda m, g, s, pr, rng: sim_ref(m, s)),
-    "citmod": Method(("model",), lambda m, g, s, pr, rng: cit_mod(m, s)),
+                     lambda m, g, r, pr, rng: sim_wgd(m, g, r)),
+    "simref": Method(("model",), lambda m, g, r, pr, rng: sim_ref(m, r)),
+    "citmod": Method(("model",), lambda m, g, r, pr, rng: forward(m, r)),
     "paperrank": Method(("graph",),
-                        lambda m, g, s, pr, rng: paperrank(g, s, pr)),
-    "cf": Method(("graph",), lambda m, g, s, pr, rng: cf_scores(g, s)),
+                        lambda m, g, r, pr, rng: paperrank(g, r, pr)),
+    "cf": Method(("graph",), lambda m, g, r, pr, rng: cf_scores(g, r)),
     "random": Method(("graph", "rng"),
-                     lambda m, g, s, pr, rng:
+                     lambda m, g, r, pr, rng:
                      rng.permutation(g.n).astype(np.float64)),
 }
 EMBEDDING_METHODS = tuple(
@@ -115,8 +99,9 @@ ALL_METHODS = tuple(
 def recommend(method, seeds, k, model: EmbeddingModel = None,
               graph: CitationGraph = None, pr_params=None, rng=None):
     """Ranked (paper_id, score) list for one method of ``METHODS``, over
-    the model's papers if it needs a model, else the graph's.  Seeds are
-    always excluded from the output."""
+    the model's papers if it needs a model, else the graph's.  That index
+    turns the seed list into rows once; the scorer and the ranking share
+    them.  Seeds are always excluded from the output."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if method not in METHODS:
@@ -126,9 +111,10 @@ def recommend(method, seeds, k, model: EmbeddingModel = None,
     for need in meth.needs:
         if given[need] is None:
             raise ValueError(f"method {method!r} requires {_INPUTS[need]}")
-    scores = meth.score(model, graph, seeds, pr_params, rng)
-    ids = model.ids if "model" in meth.needs else graph.ids
-    return rank_scores(ids, scores, seeds, k)
+    index = model if "model" in meth.needs else graph
+    rows = index.seed_rows(seeds)
+    scores = meth.score(model, graph, rows, pr_params, rng)
+    return rank_scores(index.ids, scores, rows, k)
 
 
 def write_ranked_csv(path, ranked):

@@ -12,8 +12,9 @@ import numpy as np
 from citerec.graph import CitationGraph
 from citerec.sampling import (cocitation_corpus, transition_probs,
                               _biased_steps, _edge_keys, _uniform_steps)
-from citerec.embedding import EmbeddingModel, TrainParams, init_model, train
-from citerec.ranking import cit_mod, rank_scores, recommend, sim_avg, sim_ref
+from citerec.embedding import (EmbeddingModel, TrainParams, forward,
+                               init_model, train)
+from citerec.ranking import rank_scores, recommend, sim_avg, sim_ref
 from citerec.baselines import PageRankParams, paperrank, cf_scores
 from citerec.evaluation import (ExperimentConfig, build_queries,
                                 check_no_time_leakage, evaluate, recall_at_k,
@@ -124,12 +125,13 @@ def test_criterion_3_oracle_equivalence():
         seeds = [g.ids[i] for i in
                  rng.choice(g.n, size=min(3, g.n), replace=False)]
         worst = max(worst, float(np.abs(
-            paperrank(g, seeds, params)
+            paperrank(g, g.seed_rows(seeds), params)
             - dense_paperrank_oracle(g, seeds, params)).max()))
 
     g = incidence_fixture()
     cf_exact = all(
-        np.array_equal(cf_scores(g, s), cf_bruteforce_oracle(g, s))
+        np.array_equal(cf_scores(g, g.seed_rows(s)),
+                       cf_bruteforce_oracle(g, s))
         for s in (["i0"], ["i1", "i3"], ["i0", "i1", "i2"]))
     elapsed = time.time() - t0
     report("criterion 3 (paperrank/cf vs oracles)",
@@ -151,13 +153,14 @@ def test_criterion_4_ranker_algebra():
         m = EmbeddingModel(ids, vecs, rng.normal(size=(n, d)))
         n_seeds = int(rng.integers(1, 5))
         seeds = [ids[i] for i in rng.choice(n, size=n_seeds, replace=False)]
+        rows = m.seed_rows(seeds)
 
-        a = sim_avg(m, seeds)
-        r = sim_ref(m, seeds)
-        rank_a = [t for t, _ in rank_scores(ids, a, seeds)]
-        rank_r = [t for t, _ in rank_scores(ids, r, seeds)]
+        a = sim_avg(m, rows)
+        r = sim_ref(m, rows)
+        rank_a = [t for t, _ in rank_scores(ids, a, rows, n)]
+        rank_r = [t for t, _ in rank_scores(ids, r, rows, n)]
         ok &= rank_a == rank_r
-        probs = cit_mod(m, seeds)
+        probs = forward(m, rows)
         ok &= abs(probs.sum() - 1.0) < 1e-9
 
         # positive rescaling of one non-seed candidate leaves cosine scores
@@ -165,8 +168,8 @@ def test_criterion_4_ranker_algebra():
         candidates = [i for i in range(n) if ids[i] not in seeds]
         victim = int(rng.choice(candidates))
         m.w_in[victim] *= float(rng.uniform(0.1, 50))
-        ok &= np.allclose(sim_avg(m, seeds), a, atol=1e-12)
-        ok &= np.allclose(sim_ref(m, seeds), r, atol=1e-12)
+        ok &= np.allclose(sim_avg(m, rows), a, atol=1e-12)
+        ok &= np.allclose(sim_ref(m, rows), r, atol=1e-12)
         if not ok:
             break
     elapsed = time.time() - t0

@@ -56,19 +56,19 @@ def two_triangle_graph():
 
 def test_paperrank_single_node():
     g = CitationGraph.from_edges([], years={"A": 2000})
-    scores = paperrank(g, ["A"])
+    scores = paperrank(g, g.seed_rows(["A"]))
     assert abs(scores[0] - 1.0) < 1e-12
 
 
 def test_paperrank_is_stochastic():
     g = two_triangle_graph()
-    assert abs(paperrank(g, ["A", "E"]).sum() - 1.0) < 1e-9
+    assert abs(paperrank(g, g.seed_rows(["A", "E"])).sum() - 1.0) < 1e-9
 
 
 def test_paperrank_matches_dense_oracle_on_bridged_triangles():
     g = two_triangle_graph()
     params = PageRankParams()
-    ours = paperrank(g, ["A", "B", "C"], params)
+    ours = paperrank(g, g.seed_rows(["A", "B", "C"]), params)
     oracle = dense_paperrank_oracle(g, ["A", "B", "C"], params)
     assert np.abs(ours - oracle).max() < 1e-8
     # seed triangle holds most of the mass
@@ -86,7 +86,7 @@ def test_paperrank_random_graphs_vs_oracle():
             years={f"v{i}": 2000 for i in range(n)})
         seeds = [f"v{int(i)}" for i in rng.choice(n, size=3, replace=False)]
         params = PageRankParams()
-        assert np.abs(paperrank(g, seeds, params)
+        assert np.abs(paperrank(g, g.seed_rows(seeds), params)
                       - dense_paperrank_oracle(g, seeds, params)).max() < 1e-8
 
 
@@ -99,7 +99,7 @@ def test_paperrank_independent_of_start():
     a = dense_paperrank_oracle(g, ["A"], params)
     b = dense_paperrank_oracle(g, ["A"], params, x0=x0)
     assert np.abs(a - b).max() < 1e-8
-    assert np.abs(paperrank(g, ["A"], params) - a).max() < 1e-8
+    assert np.abs(paperrank(g, g.seed_rows(["A"]), params) - a).max() < 1e-8
 
 
 def index_graph(n, pairs):
@@ -111,7 +111,7 @@ def index_graph(n, pairs):
 
 def check_against_exact(g, seeds):
     params = PageRankParams()
-    ours = paperrank(g, seeds, params)
+    ours = paperrank(g, g.seed_rows(seeds), params)
     np.testing.assert_allclose(ours, exact_paperrank(g, seeds, params),
                                rtol=0, atol=1e-12)
     assert abs(ours.sum() - 1.0) < 1e-9
@@ -167,9 +167,10 @@ def test_paperrank_twin_leaves_tie_exactly():
                  if u != w}
         g = index_graph(n, sorted(pairs) + [(a, hub), (b, hub)])
         seeds = [f"v{int(i)}" for i in rng.choice(others, size=3, replace=False)]
-        scores = paperrank(g, seeds)
+        scores = paperrank(g, g.seed_rows(seeds))
         assert scores[a] == scores[b]
-        order = [t for t, _ in rank_scores(g.ids, scores, seeds)]
+        rows = g.seed_rows(seeds)
+        order = [t for t, _ in rank_scores(g.ids, scores, rows, g.n)]
         lo, hi = sorted((a, b))
         assert order.index(f"v{lo}") < order.index(f"v{hi}")
 
@@ -178,7 +179,7 @@ def debug_lines(caplog, g, seeds):
     """paperrank's scores and the DEBUG lines it logged."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="citerec.baselines"):
-        scores = paperrank(g, seeds)
+        scores = paperrank(g, g.seed_rows(seeds))
     return scores, [r.getMessage() for r in caplog.records]
 
 
@@ -214,11 +215,12 @@ def test_paperrank_all_seeds_isolated_returns_restart(caplog):
 def test_paperrank_warns_at_max_iter(caplog):
     g = two_triangle_graph()
     params = PageRankParams(max_iter=2)
-    residual = np.abs(paperrank(g, ["A"], params)
-                      - paperrank(g, ["A"], PageRankParams(max_iter=1))).sum()
+    rows = g.seed_rows(["A"])
+    residual = np.abs(paperrank(g, rows, params)
+                      - paperrank(g, rows, PageRankParams(max_iter=1))).sum()
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="citerec.baselines"):
-        paperrank(g, ["A"], params)
+        paperrank(g, g.seed_rows(["A"]), params)
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and warnings[0].name == "citerec.baselines"
     assert warnings[0].getMessage() == (
@@ -229,8 +231,9 @@ def test_paperrank_warns_at_max_iter(caplog):
 
 
 def test_paperrank_converged_logs_no_warning(caplog):
+    g = two_triangle_graph()
     with caplog.at_level(logging.DEBUG, logger="citerec.baselines"):
-        paperrank(two_triangle_graph(), ["A", "E"])
+        paperrank(g, g.seed_rows(["A", "E"]))
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
     (debug,) = [r.getMessage() for r in caplog.records]
     iters, residual = debug.removeprefix("paperrank: ").split(" iterations, L1 residual ")
@@ -241,7 +244,7 @@ def test_paperrank_converged_logs_no_warning(caplog):
 def test_paperrank_empty_seeds_errors():
     g = two_triangle_graph()
     with pytest.raises(ValueError):
-        paperrank(g, [])
+        paperrank(g, g.seed_rows([]))
 
 
 def cf_bruteforce_oracle(g, seeds):
@@ -296,7 +299,7 @@ def cf_graphs_and_seeds(draw):
 @given(cf_graphs_and_seeds())
 def test_cf_matches_reference_loop_bit_for_bit(case):
     g, seeds = case
-    ours = cf_scores(g, seeds)
+    ours = cf_scores(g, g.seed_rows(seeds))
     ref = reference_cf_scores(g, seeds)
     assert ours.dtype == np.float64
     assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
@@ -315,19 +318,19 @@ def incidence_fixture():
 def test_cf_identical_columns_score_one():
     edges = [(f"u{i}", "s") for i in range(5)] + [(f"u{i}", "d") for i in range(5)]
     g = CitationGraph.from_edges(edges)
-    scores = cf_scores(g, ["s"])
+    scores = cf_scores(g, g.seed_rows(["s"]))
     assert abs(scores[g.index_of("d")] - 1.0) < 1e-12
 
 
 def test_cf_no_common_citer_scores_zero():
     g = CitationGraph.from_edges([("u0", "s"), ("u1", "d")])
-    assert cf_scores(g, ["s"])[g.index_of("d")] == 0.0
+    assert cf_scores(g, g.seed_rows(["s"]))[g.index_of("d")] == 0.0
 
 
 def test_cf_matches_bruteforce_oracle_exactly():
     g = incidence_fixture()
     for seeds in (["i0"], ["i1", "i3"], ["i0", "i1", "i2"]):
-        ours = cf_scores(g, seeds)
+        ours = cf_scores(g, g.seed_rows(seeds))
         oracle = cf_bruteforce_oracle(g, seeds)
         assert np.array_equal(ours, oracle)
 
@@ -335,22 +338,23 @@ def test_cf_matches_bruteforce_oracle_exactly():
 def test_cf_kernel_symmetry():
     g = incidence_fixture()
     for a, b in (("i0", "i1"), ("i1", "i2"), ("i2", "i3")):
-        sa = cf_scores(g, [a])[g.index_of(b)]
-        sb = cf_scores(g, [b])[g.index_of(a)]
+        sa = cf_scores(g, g.seed_rows([a]))[g.index_of(b)]
+        sb = cf_scores(g, g.seed_rows([b]))[g.index_of(a)]
         assert abs(sa - sb) < 1e-12
 
 
 def test_cf_uncited_items_score_zero():
     g = CitationGraph.from_edges([("u0", "s"), ("lonely", "other")],
                                  years={"x": 2000})
-    scores = cf_scores(g, ["s"])
+    scores = cf_scores(g, g.seed_rows(["s"]))
     assert scores[g.index_of("u0")] == 0.0
     assert scores[g.index_of("x")] == 0.0
 
 
 def test_cf_empty_seeds_errors():
+    g = incidence_fixture()
     with pytest.raises(ValueError):
-        cf_scores(incidence_fixture(), [])
+        cf_scores(g, g.seed_rows([]))
 
 
 def test_pagerank_params_validation():

@@ -260,6 +260,18 @@ def test_recommend_paperrank_without_model(dataset):
     assert len((d / "pr.csv").read_text().splitlines()) == 6
 
 
+def test_recommend_prints_seed_set_size(dataset, capsys):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--output", str(d / "g.npz")])
+    capsys.readouterr()
+    seeds = ",".join([g.ids[0], g.ids[1], g.ids[2], g.ids[0]])
+    assert main(["recommend", "--method", "cf", "--seeds", seeds,
+                 "--k", "5", "--graph", str(d / "g.npz"),
+                 "--output", str(d / "cf.csv")]) == 0
+    assert capsys.readouterr().out == (
+        f"recommend: method=cf |S|=3 top-5 -> {d / 'cf.csv'}\n")
+
+
 def test_evaluate_and_plotdata(dataset):
     g, edges, nodes, d = dataset
     main(["ingest", "--edges", str(edges), "--nodes", str(nodes),
@@ -372,6 +384,24 @@ def test_flag_overrides_config(dataset, tmp_path):
           "--graph", str(d / "g.npz"), "--strategy", "cocit",
           "--output", str(d / "c.txt")])
     assert "n=2" in (d / "c.txt").read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("n = 4\n = 5\n", "2: unknown key ''"),
+    ("# passes\nfoo = 1\n", "2: unknown key 'foo'"),
+    ("help = 1\n", "1: unknown key 'help'"),
+])
+def test_config_key_must_name_a_flag(dataset, tmp_path, capsys, text,
+                                     message):
+    g, edges, nodes, d = dataset
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    main(["ingest", "--edges", str(edges), "--output", str(d / "g.npz")])
+    capsys.readouterr()
+    assert main(["sample", "--config", str(cfg), "--graph", str(d / "g.npz"),
+                 "--output", str(d / "c.txt")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
+    assert not (d / "c.txt").exists()
 
 
 def test_missing_file_is_clean_error(tmp_path, capsys):

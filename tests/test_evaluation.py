@@ -351,10 +351,10 @@ def test_run_experiment_pool_propagates_ranker_error(monkeypatch, method):
     victim = queries_by_ratio[0.5][5]
     score = ranking.METHODS[method].score
 
-    def failing(m, sl, seeds, pr, rng):
-        if seeds == list(dict.fromkeys(victim.seeds)):
+    def failing(m, sl, rows, pr, rng):
+        if {sl.ids[r] for r in rows} == set(victim.seeds):
             raise ValueError(f"{method} failed on {victim.query_id}")
-        return score(m, sl, seeds, pr, rng)
+        return score(m, sl, rows, pr, rng)
 
     monkeypatch.setitem(ranking.METHODS, method,
                         ranking.Method(ranking.METHODS[method].needs, failing))

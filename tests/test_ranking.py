@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from citerec.cli import build_parser
-from citerec.graph import CitationGraph
-from citerec.embedding import EmbeddingModel
-from citerec.ranking import (ALL_METHODS, EMBEDDING_METHODS, METHODS, cit_mod,
+from citerec.graph import CitationGraph, PaperIds
+from citerec.embedding import EmbeddingModel, forward
+from citerec.ranking import (ALL_METHODS, EMBEDDING_METHODS, METHODS,
                              rank_scores, recommend, sim_avg, sim_ref, sim_wgd,
                              write_ranked_csv)
 
@@ -20,24 +20,25 @@ def model_from(vectors, w_out=None):
 
 def test_sim_avg_scale_invariance():
     m = model_from([[1.0, 1.0], [2.0, 2.0]])
-    assert abs(sim_avg(m, ["n0"])[1] - 1.0) < 1e-12
+    assert abs(sim_avg(m, m.seed_rows(["n0"]))[1] - 1.0) < 1e-12
 
 
 def test_sim_avg_average_of_orthogonal_and_parallel():
     m = model_from([[1, 0], [0, 1], [0, 1]])
     # seeds n0 (perpendicular to n2) and n1 (equal to n2)
-    assert abs(sim_avg(m, ["n0", "n1"])[2] - 0.5) < 1e-12
+    assert abs(sim_avg(m, m.seed_rows(["n0", "n1"]))[2] - 0.5) < 1e-12
 
 
 def test_sim_avg_zero_vector_scores_zero():
     m = model_from([[1, 0], [0, 0]])
-    assert sim_avg(m, ["n0"])[1] == 0.0
+    assert sim_avg(m, m.seed_rows(["n0"]))[1] == 0.0
 
 
 def test_sim_wgd_unit_degree_equals_sim_avg():
     g = CitationGraph.from_edges([("n0", "n1")])
     m = model_from(np.random.default_rng(0).normal(size=(2, 3)))
-    assert np.allclose(sim_wgd(m, g, ["n0"]), sim_avg(m, ["n0"]))
+    rows = m.seed_rows(["n0"])
+    assert np.allclose(sim_wgd(m, g, rows), sim_avg(m, rows))
 
 
 def test_sim_wgd_degree_weighting_arithmetic():
@@ -51,24 +52,25 @@ def test_sim_wgd_degree_weighting_arithmetic():
     vecs[g.index_of("n0")] = [c, s]
     vecs[g.index_of("n1")] = [c, -s]
     m = EmbeddingModel(g.ids, vecs, np.zeros_like(vecs))
-    score = sim_wgd(m, g, ["n0", "n1"])[m.index_of("n6")]
+    score = sim_wgd(m, g, m.seed_rows(["n0", "n1"]))[m.index_of("n6")]
     assert abs(score - (0.8 + 0.2) / 2) < 1e-12
 
 
 def test_sim_wgd_all_isolated_seeds():
     g = CitationGraph.from_edges([], years={"n0": 2000, "n1": 2000})
     m = model_from([[1, 0], [1, 0]])
-    assert np.all(sim_wgd(m, g, ["n0"]) == 0)
+    assert np.all(sim_wgd(m, g, m.seed_rows(["n0"])) == 0)
 
 
 def test_sim_ref_single_seed_collapses_to_sim_avg():
     m = model_from(np.random.default_rng(1).normal(size=(6, 4)))
-    assert np.allclose(sim_ref(m, ["n2"]), sim_avg(m, ["n2"]))
+    rows = m.seed_rows(["n2"])
+    assert np.allclose(sim_ref(m, rows), sim_avg(m, rows))
 
 
 def test_sim_ref_cancellation():
     m = model_from([[1, 1], [-1, -1], [0.5, 0.3]])
-    assert np.all(sim_ref(m, ["n0", "n1"]) == 0)
+    assert np.all(sim_ref(m, m.seed_rows(["n0", "n1"])) == 0)
 
 
 def test_sim_ref_equals_sim_avg_ranking_when_normalized():
@@ -76,7 +78,7 @@ def test_sim_ref_equals_sim_avg_ranking_when_normalized():
     vecs = rng.normal(size=(20, 6))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     m = model_from(vecs)
-    seeds = ["n1", "n4", "n9"]
+    seeds = m.seed_rows(["n1", "n4", "n9"])
     a, r = sim_avg(m, seeds), sim_ref(m, seeds)
     assert np.array_equal(np.argsort(-a, kind="stable"),
                           np.argsort(-r, kind="stable"))
@@ -87,19 +89,19 @@ def test_sim_ref_equals_sim_avg_ranking_when_normalized():
 
 def test_cit_mod_uniform_and_normalized():
     m = model_from(np.random.default_rng(3).normal(size=(5, 4)))
-    probs = cit_mod(m, ["n0", "n3"])
+    probs = forward(m, m.seed_rows(["n0", "n3"]))
     assert np.allclose(probs, 0.2)
     m2 = model_from(np.random.default_rng(4).normal(size=(5, 4)),
                     w_out=np.random.default_rng(5).normal(size=(5, 4)))
-    probs = cit_mod(m2, ["n0", "n3"])
+    probs = forward(m2, m2.seed_rows(["n0", "n3"]))
     assert abs(probs.sum() - 1.0) < 1e-9
-    assert np.allclose(probs, cit_mod(m2, ["n3", "n0"]))
+    assert np.allclose(probs, forward(m2, m2.seed_rows(["n3", "n0"])))
 
 
 def test_positive_rescaling_invariance():
     rng = np.random.default_rng(6)
     m = model_from(rng.normal(size=(10, 4)))
-    seeds = ["n0", "n1"]
+    seeds = m.seed_rows(["n0", "n1"])
     before = {f: f(m, seeds) for f in (sim_avg, sim_ref)}
     wgd_g = CitationGraph.from_edges([("n0", "n1")] +
                                      [(f"n{i}", "n0") for i in range(2, 10)])
@@ -120,7 +122,8 @@ def test_recommend_truncation_and_exclusion():
 
 
 def test_rank_tie_break_by_internal_index():
-    ranked = rank_scores(["a", "b", "c", "d"], [0.5, 0.7, 0.5, 0.7], [], 4)
+    ranked = rank_scores(["a", "b", "c", "d"], [0.5, 0.7, 0.5, 0.7],
+                         np.array([], np.int64), 4)
     assert [tok for tok, _ in ranked] == ["b", "d", "a", "c"]
 
 
@@ -218,10 +221,11 @@ def _scorer_pairs(m, seeds, g):
     distinct = list(dict.fromkeys(seeds))
     kept = set(distinct[:1 << (len(distinct).bit_length() - 1)])
     ref_seeds = [s for s in seeds if s in kept]
-    return [(sim_avg(m, seeds), reference_sim_avg(m, seeds), seeds),
-            (sim_wgd(m, g, seeds), reference_sim_wgd(m, g, seeds), seeds),
-            (sim_ref(m, ref_seeds), reference_sim_ref(m, ref_seeds),
-             ref_seeds)]
+    rows, ref_rows = m.seed_rows(seeds), m.seed_rows(ref_seeds)
+    return [(sim_avg(m, rows), reference_sim_avg(m, seeds), rows),
+            (sim_wgd(m, g, rows), reference_sim_wgd(m, g, seeds), rows),
+            (sim_ref(m, ref_rows), reference_sim_ref(m, ref_seeds),
+             ref_rows)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -230,7 +234,8 @@ def test_cosine_core_matches_per_seed_reference(case):
     m, seeds, g = case
     for new, ref, used in _scorer_pairs(m, seeds, g):
         np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
-        assert rank_scores(m.ids, new, used) == rank_scores(m.ids, ref, used)
+        assert (rank_scores(m.ids, new, used, m.n)
+                == rank_scores(m.ids, ref, used, m.n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,18 +269,44 @@ def test_registry_runs_every_method_and_feeds_the_cli():
     assert sub["evaluate"].get_default("methods") == ",".join(ALL_METHODS)
 
 
-def reference_rank_scores(ids, scores, exclude, k=None):
+@pytest.mark.parametrize("method", list(METHODS))
+def test_recommend_resolves_the_seeds_once(method, monkeypatch):
+    g = CitationGraph.from_edges([("n0", "n1"), ("n1", "n2"), ("n3", "n0")])
+    rng = np.random.default_rng(8)
+    m = EmbeddingModel(g.ids, rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+    calls = []
+    seed_rows = PaperIds.seed_rows
+
+    def counted(self, seeds):
+        calls.append(seeds)
+        return seed_rows(self, seeds)
+
+    monkeypatch.setattr(PaperIds, "seed_rows", counted)
+    recommend(method, ["n0", "n3", "n0"], 2, model=m, graph=g,
+              rng=np.random.default_rng(0))
+    assert calls == [["n0", "n3", "n0"]]
+
+
+def test_random_rejects_unknown_and_empty_seeds():
+    g = CitationGraph.from_edges([("n0", "n1"), ("n1", "n2")])
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="unknown paper id: 'ZZ'"):
+        recommend("random", ["n0", "ZZ"], 2, graph=g, rng=rng)
+    with pytest.raises(ValueError, match="seed set must be non-empty"):
+        recommend("random", [], 2, graph=g, rng=rng)
+
+
+def reference_rank_scores(ids, scores, exclude_rows, k=None):
     """The full-sort ranking: lexsort every id, then walk the order."""
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
     order = np.lexsort((np.arange(n), -scores))
-    excluded = set(exclude)
+    excluded = set(exclude_rows)
     out = []
     for i in order:
-        tok = ids[i]
-        if tok in excluded:
+        if i in excluded:
             continue
-        out.append((tok, float(scores[i])))
+        out.append((ids[i], float(scores[i])))
         if k is not None and len(out) == k:
             break
     return out
@@ -300,12 +331,10 @@ def scores_exclusions_ks(draw):
         elem = st.one_of(special, st.floats(-1e3, 1e3))
     scores = draw(st.lists(elem, min_size=n, max_size=n))
     ids = [f"p{i}" for i in range(n)]
-    # repeats, and ids that are not ranked at all
-    exclude = [f"p{i}" for i in draw(
-        st.lists(st.integers(0, n + 3), max_size=n + 2))]
-    n_excl = len(set(exclude) & set(ids))
-    ks = [None, 0, 1, n - n_excl, n - n_excl + 1, n, n + 5,
-          draw(st.integers(1, n))]
+    # repeats, in any order
+    exclude = draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+    n_excl = len(set(exclude))
+    ks = [1, n - n_excl, n - n_excl + 1, n, n + 5, draw(st.integers(1, n))]
     return ids, scores, exclude, ks
 
 
@@ -316,7 +345,7 @@ _NAN_CUT = [0.1, np.nan, 0.3, np.nan, 0.2, -0.0, 0.0, np.inf]
 @given(scores_exclusions_ks())
 # NaN ranks last, where np.partition would take it for the largest score
 @example((list("abcdefgh"), _NAN_CUT, [], [3]))
-@example((list("abcdefgh"), _NAN_CUT, ["h", "x"], [5]))
+@example((list("abcdefgh"), _NAN_CUT, [7], [5]))
 def test_rank_scores_matches_full_sort_reference(case):
     ids, scores, exclude, ks = case
     for k in ks:
