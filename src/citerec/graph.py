@@ -11,6 +11,7 @@ Graphs are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import io
 import logging
 import zipfile
 import zlib
@@ -112,12 +113,21 @@ class CitationGraph(PaperIds):
     def __init__(self, ids, years, edges_u, edges_w):
         super().__init__(ids)
         self.n = len(self.ids)
-        self.years = np.asarray(years, dtype=np.int64)
-        if self.years.shape != (self.n,):
+        years, u, w = (np.asarray(a) for a in (years, edges_u, edges_w))
+        for a in (years, u, w):
+            # an empty list reads as float64, so only a non-empty one is typed
+            if a.ndim != 1 or a.size and not (a.dtype.kind in "iu" and
+                                              np.can_cast(a.dtype, np.int64)):
+                raise GraphError("years and edges must be 1-D integer arrays")
+        if years.size != self.n:
             raise GraphError("years array must have one entry per node")
-
-        u = np.asarray(edges_u, dtype=np.int64)
-        w = np.asarray(edges_w, dtype=np.int64)
+        if u.size != w.size:
+            raise GraphError("edges_u and edges_w must have one length")
+        if u.size and not (0 <= min(u.min(), w.min()) and
+                           max(u.max(), w.max()) < self.n):
+            raise GraphError(f"edge index out of range for {self.n} nodes")
+        self.years = years.astype(np.int64, copy=False)
+        u, w = u.astype(np.int64, copy=False), w.astype(np.int64, copy=False)
         keep = u != w
         self.self_loops_dropped = int((~keep).sum())
         if self.self_loops_dropped:
@@ -150,27 +160,15 @@ class CitationGraph(PaperIds):
         an unknown year.
         """
         index = {}
-        ids = []
-
-        def idx(tok):
-            i = index.get(tok)
-            if i is None:
-                i = len(ids)
-                index[tok] = i
-                ids.append(tok)
-            return i
-
         u, w = [], []
         for citing, cited in edge_pairs:
-            u.append(idx(citing))
-            w.append(idx(cited))
-        if years:
-            for tok in years:
-                idx(tok)
+            u.append(index.setdefault(citing, len(index)))
+            w.append(index.setdefault(cited, len(index)))
+        years = years or {}
+        rows = [index.setdefault(tok, len(index)) for tok in years]
+        ids = list(index)
         year_arr = np.full(len(ids), YEAR_UNKNOWN, dtype=np.int64)
-        if years:
-            for tok, y in years.items():
-                year_arr[index[tok]] = y
+        year_arr[rows] = list(years.values())
         return cls(ids, year_arr, u, w)
 
     # -- accessors --------------------------------------------------------
@@ -263,31 +261,52 @@ class CitationGraph(PaperIds):
 
     @classmethod
     def load_cache(cls, path):
+        bad = f"{path}: not a citerec graph cache"
         with open(path, "rb") as f:  # a missing file stays an OSError
-            if not zipfile.is_zipfile(f):  # truncated, or not an .npz at all
-                raise GraphError(f"{path}: not a citerec graph cache")
+            try:
+                # zipfile checks each member's CRC as it reads it to its end
+                with zipfile.ZipFile(f) as zf:
+                    members = {m.filename: zf.read(m) for m in zf.infolist()}
+                ids, years, u, w = (members.pop(f"{k}.npy") for k in
+                                    ("ids", "years", "edges_u", "edges_w"))
+            # a truncated or damaged archive or member, a member zipfile
+            # cannot read (an unknown method or encryption: RuntimeError), a
+            # seek to a damaged directory offset or a bad bzip2 stream
+            # (OSError), or an .npz without the cache's arrays
+            except (zipfile.BadZipFile, EOFError, KeyError, zlib.error,
+                    RuntimeError, OSError):
+                raise GraphError(bad) from None
         try:
-            # every member's CRC is checked before numpy parses any of it
-            with zipfile.ZipFile(path) as zf:
-                if zf.testzip() is not None:
-                    raise zipfile.BadZipFile
-            with np.load(path) as z:
-                try:
-                    ids = z["ids"].tolist()
-                except ValueError:  # an object array, which only pickle loads
-                    raise GraphError(f"{path}: graph cache holds pickled ids; "
-                                     "re-run citerec ingest") from None
-                return cls(ids, z["years"], z["edges_u"], z["edges_w"])
-        # a damaged archive or member, a member zipfile cannot read (an
-        # unknown method or encryption: RuntimeError), a seek to a damaged
-        # directory offset or a bad bzip2 stream (OSError), or an .npz
-        # without the cache's arrays
-        except (zipfile.BadZipFile, EOFError, KeyError, zlib.error,
-                RuntimeError, OSError):
-            raise GraphError(f"{path}: not a citerec graph cache") from None
+            ids = np.lib.format.read_array(io.BytesIO(ids), allow_pickle=False)
+        except ValueError:  # an object array, which only pickle loads
+            raise GraphError(f"{path}: graph cache holds pickled ids; "
+                             "re-run citerec ingest") from None
+        if ids.ndim != 1 or ids.dtype.kind != "U":
+            raise GraphError(bad)
+        try:
+            # every array is parsed first, so no raw member is held while the
+            # graph is built
+            years, u, w = (np.lib.format.read_array(io.BytesIO(a),
+                                                    allow_pickle=False)
+                           for a in (years, u, w))
+            return cls(ids.tolist(), years, u, w)
+        # an array numpy cannot parse, or arrays that form no graph
+        except ValueError:
+            raise GraphError(bad) from None
 
     def save_edges(self, edges_path, nodes_path=None):
-        """Write the tab-separated edge file (and optional node-year file)."""
+        """Write the tab-separated edge file (and optional node-year file).
+        An id that would not read back, one that is empty, holds only
+        whitespace (a line of two such ids is skipped as blank) or holds a
+        tab or a line break, raises GraphError before anything is written."""
+        for tok in self.ids:
+            if not tok.strip():
+                raise GraphError(f"paper id {tok!r} is blank and cannot be "
+                                 "written to an edge or node file")
+            for c in "\t\n\r":
+                if c in tok:
+                    raise GraphError(f"paper id {tok!r} holds {c!r} and cannot "
+                                     "be written to an edge or node file")
         u, w = self.edge_list()
         with open(edges_path, "w", encoding="utf-8") as f:
             for a, b in zip(u, w):
@@ -328,5 +347,8 @@ def load_graph(edges_path, nodes_path=None):
             if not _YEAR_RANGE.min <= y <= _YEAR_RANGE.max:
                 raise GraphFormatError(
                     f"{nodes_path}:{lineno}: year out of range: {parts[1]!r}")
-            years[parts[0]] = y
+            if years.setdefault(parts[0], y) != y:
+                raise GraphFormatError(
+                    f"{nodes_path}:{lineno}: paper id {parts[0]!r} already has "
+                    f"year {years[parts[0]]}")
     return CitationGraph.from_edges(edges, years)

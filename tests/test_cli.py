@@ -159,6 +159,30 @@ def test_graph_cache_with_damaged_directory_offset_is_clean_error(tmp_path,
         f"error: {bad}: not a citerec graph cache\n")
 
 
+@pytest.mark.parametrize("arrays", [
+    dict(edges_w=[3]),  # read as the self-loop b->b
+    dict(edges_u=[1], edges_w=[-1]),  # read as a->b
+    dict(edges_u=[0.5], edges_w=[1.0]),  # read as a->b
+    dict(edges_w=[5]),
+    dict(years=np.array([2000, 2001], dtype=object)),
+    dict(years=[2000]),
+    dict(edges_u=[0, 1]),
+    dict(ids=np.array("ab")),  # read as ['a', 'b']
+    dict(ids=[1, 2]),
+], ids=["past-n", "negative", "float", "far-past-n", "object-years",
+        "short-years", "edge-lengths", "0-d-ids", "int-ids"])
+def test_crafted_graph_cache_is_clean_error(tmp_path, capsys, arrays):
+    path = tmp_path / "g.npz"
+    np.savez_compressed(path, **{"ids": np.array(["a", "b"]),
+                                 "years": [2000, 2001], "edges_u": [0],
+                                 "edges_w": [1], **arrays})
+    assert main(["slice", "--graph", str(path), "--year", "2001",
+                 "--output", str(tmp_path / "s.npz")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: not a citerec graph cache\n")
+    assert not (tmp_path / "s.npz").exists()
+
+
 def test_edge_file_not_utf8_names_line(tmp_path, capsys):
     edges = tmp_path / "edges.tsv"
     edges.write_bytes(b"a\tb\nc\t\xffd\n")

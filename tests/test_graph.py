@@ -1,4 +1,5 @@
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,18 @@ def test_file_load_and_parse_errors(tmp_path):
         -2**63, 2**63 - 1]
 
 
+def test_node_file_repeat_must_keep_its_year(tmp_path):
+    edges = tmp_path / "edges.tsv"
+    nodes = tmp_path / "nodes.tsv"
+    edges.write_text("A\tB\n")
+    nodes.write_text("A\t2001\nB\t2000\nA\t2001\n")
+    assert load_graph(edges, nodes).year_of("A") == 2001
+    nodes.write_text("A\t2001\n\nA\t1999\n")
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(edges, nodes)
+    assert str(err.value) == f"{nodes}:3: paper id 'A' already has year 2001"
+
+
 def test_text_lines_skips_blank_and_whitespace_lines(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("a b\n\n \t\n\u3000\nc\td \n\nlast", encoding="utf-8")
@@ -227,6 +240,26 @@ def test_nodes_only_in_edges_have_unknown_year():
     g = CitationGraph.from_edges([("A", "B")], years={"A": 2001})
     assert g.year_of("B") is None
     assert g.years[g.index_of("B")] == YEAR_UNKNOWN
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF")),
+                max_size=12),
+       st.dictionaries(st.sampled_from("ABCDEFGH"), st.integers(1900, 2030),
+                       max_size=8))
+def test_from_edges_matches_reference(pairs, years):
+    # rows in order of first appearance, citing before cited, then the
+    # tokens that appear only in years
+    ids = []
+    for tok in [t for pair in pairs for t in pair] + list(years):
+        if tok not in ids:
+            ids.append(tok)
+    g = CitationGraph.from_edges(pairs, years)
+    assert g.ids == ids
+    assert g.years.tolist() == [years.get(t, YEAR_UNKNOWN) for t in ids]
+    u, w = g.edge_list()
+    assert list(zip(u.tolist(), w.tolist())) == sorted(
+        {(ids.index(a), ids.index(b)) for a, b in pairs if a != b})
 
 
 def test_cache_roundtrip(tmp_path):
@@ -303,6 +336,22 @@ def test_foreign_file_is_not_a_graph_cache(tmp_path):
         CitationGraph.load_cache(tmp_path / "missing.npz")
 
 
+def test_cache_member_with_bad_crc_is_rejected(tmp_path):
+    g = CitationGraph.from_edges([("A", "B")], years={"A": 2000, "B": 1999})
+    path = tmp_path / "g.npz"
+    g.save_cache(path)
+    # a member the cache does not use is still read and checked
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("extra.npy", b"0123456789" * 8)
+    assert CitationGraph.load_cache(path).ids == ["A", "B"]
+    data = bytearray(path.read_bytes())
+    data[data.rindex(b"0123456789")] ^= 1
+    path.write_bytes(data)
+    with pytest.raises(GraphError) as err:
+        CitationGraph.load_cache(path)
+    assert str(err.value) == f"{path}: not a citerec graph cache"
+
+
 def test_edge_file_roundtrip(tmp_path):
     g = CitationGraph.from_edges(
         [("A", "B"), ("C", "A")], years={"A": 2000, "B": 2001, "C": 2003})
@@ -310,3 +359,14 @@ def test_edge_file_roundtrip(tmp_path):
     g2 = load_graph(tmp_path / "e.tsv", tmp_path / "n.tsv")
     assert g2.ids == g.ids
     assert np.array_equal(g2.years, g.years)
+
+
+@pytest.mark.parametrize("tok", ["", " ", "a\tx", "a\nx", "a\rx"])
+def test_save_edges_rejects_id_that_cannot_read_back(tmp_path, tok):
+    g = CitationGraph.from_edges([(tok, "b")], years={tok: 2000, "b": 2001})
+    with pytest.raises(GraphError) as err:
+        g.save_edges(tmp_path / "e.tsv", tmp_path / "n.tsv")
+    assert str(err.value).startswith(f"paper id {tok!r} ")
+    assert str(err.value).endswith(" cannot be written to an edge or node file")
+    assert not (tmp_path / "e.tsv").exists()
+    assert not (tmp_path / "n.tsv").exists()
