@@ -190,79 +190,64 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def run_experiment(g: CitationGraph, cfg: ExperimentConfig, graphs, models,
-                   queries_by_ratio=None):
-    """Evaluate every configured method on random-hide queries.
-
-    ``graphs`` maps slice year -> CitationGraph, ``models`` maps slice year
-    -> EmbeddingModel; queries of year y use the entries for y-1.  Returns
-    (per-query records, aggregate rows); aggregates are one row per
-    (method, hidden_ratio, k).
-
-    Every query's PaperRank is solved on a pool of worker threads, one per
-    usable CPU, while the other methods rank inline; records and aggregates
-    are those of the serial loop.  Logs the queries ranked and skipped, the
-    methods, the worker count and the seconds at INFO level.
-    """
-    needed = set()
-    if queries_by_ratio is None:
-        queries_by_ratio = {
-            r: build_queries(g, cfg, r) for r in cfg.hidden_ratios}
-    for qs in queries_by_ratio.values():
-        needed.update(q.year - 1 for q in qs)
-    missing = sorted(y for y in needed if y not in graphs)
-    if any(m in EMBEDDING_METHODS for m in cfg.methods):
-        missing = sorted(set(missing) | {y for y in needed if y not in models})
-    if missing:
-        raise ValueError(f"missing sliced graph/model for years: {missing}")
-
+def _rank_by_year(cfg: ExperimentConfig, queries_by_ratio, serve):
+    """:func:`run_experiment`'s ranking, one serving year at a time: year
+    y-1's queries rank on the (slice, model) pair ``serve(y-1, queries)``
+    returns, which is dropped before the next year is served."""
     t0 = time.perf_counter()
     max_k = max(cfg.k_values)
-    tasks = []      # (ratio, index in its ratio's list, query, live seeds)
-    skipped = 0
+    by_year = {}    # serving year -> [(ratio, index in its ratio's list, query)]
     for ratio, queries in sorted(queries_by_ratio.items()):
         for qi, q in enumerate(queries):
-            seeds = [s for s in q.seeds if s in graphs[q.year - 1]]
-            if not seeds:
-                skipped += 1
-                continue
-            tasks.append((ratio, qi, q, seeds))
+            by_year.setdefault(q.year - 1, []).append((ratio, qi, q))
 
     workers = _usable_cpus() if POOLED_METHOD in cfg.methods else 0
     # Threads start only on submit: with no PaperRank the pool stays empty.
     pool = ThreadPoolExecutor(max(workers, 1), thread_name_prefix="paperrank")
-    records = []
+    by_query = {}   # (ratio, index) -> the query's records
+    skipped = 0
     try:
-        # Each solve is independent and deterministic, so taking the lists
-        # in submission order gives the serial loop's records.
-        pooled = [pool.submit(recommend, POOLED_METHOD, seeds, max_k,
-                              graph=graphs[q.year - 1])
-                  for _, _, q, seeds in tasks] if workers else None
-        for ti, (ratio, qi, q, seeds) in enumerate(tasks):
-            sl = graphs[q.year - 1]
-            model = models.get(q.year - 1)
-            for method in cfg.methods:
-                if method == POOLED_METHOD:
-                    ranked = pooled[ti].result()
-                else:
-                    rng = (np.random.default_rng([cfg.seed, 0x72616E64, qi])
-                           if "rng" in METHODS[method].needs else None)
-                    ranked = recommend(method, seeds, max_k, model=model,
-                                       graph=sl, rng=rng)
-                rec = {"method": method, "hidden_ratio": ratio,
-                       "query_id": q.query_id, "year": q.year}
-                for k in cfg.k_values:
-                    rec[f"recall@{k}"] = recall_at_k(ranked, q.hidden, k)
-                records.append(rec)
+        for year, entries in sorted(by_year.items()):
+            t_serve = time.perf_counter()
+            sl, model = serve(year, [q for _, _, q in entries])
+            t0 += time.perf_counter() - t_serve     # the log times ranking
+            tasks = []      # (ratio, index, query, live seeds)
+            for ratio, qi, q in entries:
+                seeds = [s for s in q.seeds if s in sl]
+                if seeds:
+                    tasks.append((ratio, qi, q, seeds))
+            skipped += len(entries) - len(tasks)
+            # Each solve is independent and deterministic, so taking the
+            # lists in submission order gives the serial loop's records.
+            pooled = [pool.submit(recommend, POOLED_METHOD, seeds, max_k,
+                                  graph=sl)
+                      for _, _, _, seeds in tasks] if workers else None
+            for ti, (ratio, qi, q, seeds) in enumerate(tasks):
+                recs = by_query[ratio, qi] = []
+                for method in cfg.methods:
+                    if method == POOLED_METHOD:
+                        ranked = pooled[ti].result()
+                    else:
+                        rng = (np.random.default_rng([cfg.seed, 0x72616E64, qi])
+                               if "rng" in METHODS[method].needs else None)
+                        ranked = recommend(method, seeds, max_k, model=model,
+                                           graph=sl, rng=rng)
+                    rec = {"method": method, "hidden_ratio": ratio,
+                           "query_id": q.query_id, "year": q.year}
+                    for k in cfg.k_values:
+                        rec[f"recall@{k}"] = recall_at_k(ranked, q.hidden, k)
+                    recs.append(rec)
+            sl = model = pooled = None     # not alive while serve runs
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     if skipped:
         log.warning("%d of %d queries skipped: no seed is in their slice",
                     skipped, sum(map(len, queries_by_ratio.values())))
     log.info("run_experiment: %d queries ranked, %d skipped, methods %s, "
-             "%d PaperRank workers, %.3f s", len(tasks), skipped,
+             "%d PaperRank workers, %.3f s", len(by_query), skipped,
              ",".join(cfg.methods), workers, time.perf_counter() - t0)
 
+    records = [rec for key in sorted(by_query) for rec in by_query[key]]
     aggregates = []
     for ratio in sorted(queries_by_ratio):
         for method in cfg.methods:
@@ -277,25 +262,58 @@ def run_experiment(g: CitationGraph, cfg: ExperimentConfig, graphs, models,
     return records, aggregates
 
 
+def run_experiment(g: CitationGraph, cfg: ExperimentConfig, graphs, models,
+                   queries_by_ratio=None):
+    """Evaluate every configured method on random-hide queries.
+
+    ``graphs`` maps slice year -> CitationGraph, ``models`` maps slice year
+    -> EmbeddingModel; queries of year y use the entries for y-1.  Returns
+    (per-query records, aggregate rows); aggregates are one row per
+    (method, hidden_ratio, k).
+
+    Every query's PaperRank is solved on a pool of worker threads, one per
+    usable CPU, while the other methods rank inline; records and aggregates
+    are those of the serial loop.  Logs the queries ranked and skipped, the
+    methods, the worker count and the seconds at INFO level.
+    """
+    if queries_by_ratio is None:
+        queries_by_ratio = {
+            r: build_queries(g, cfg, r) for r in cfg.hidden_ratios}
+    needed = {q.year - 1 for qs in queries_by_ratio.values() for q in qs}
+    missing = sorted(y for y in needed if y not in graphs)
+    if any(m in EMBEDDING_METHODS for m in cfg.methods):
+        missing = sorted(set(missing) | {y for y in needed if y not in models})
+    if missing:
+        raise ValueError(f"missing sliced graph/model for years: {missing}")
+    return _rank_by_year(cfg, queries_by_ratio,
+                         lambda y, _: (graphs[y], models.get(y)))
+
+
 def evaluate(g: CitationGraph, cfg: ExperimentConfig, tparams: TrainParams,
              strategy, n, **walk):
-    """The whole random-hide experiment: every ratio's queries, the slice at
-    y-1 for each query year y and, only if a configured method needs one, a
-    model per slice trained on its ``strategy`` corpus (n passes, walk
-    parameters t, p, q), both seeded by ``tparams.seed``.  Returns
-    (queries by ratio, records, aggregates), as :func:`run_experiment`."""
+    """The whole random-hide experiment, one serving year at a time: every
+    ratio's queries; then, for each query year y, the slice at y-1 and, only
+    if a configured method needs one, a model trained on that slice's
+    ``strategy`` corpus (n passes, walk parameters t, p, q), both seeded by
+    ``tparams.seed``.  Each slice and model is checked against its year's
+    queries with :func:`check_no_time_leakage` before it ranks them, and
+    dropped before the next year is sliced.  Returns (queries by ratio,
+    records, aggregates), as :func:`run_experiment`."""
     queries_by_ratio = {r: build_queries(g, cfg, r)
                         for r in cfg.hidden_ratios}
-    years = sorted({q.year - 1 for qs in queries_by_ratio.values()
-                    for q in qs})
-    graphs = {y: g.time_slice(y) for y in years}
-    models = {}
-    if any(m in EMBEDDING_METHODS for m in cfg.methods):
-        for y, sl in graphs.items():
-            corpus = sample_corpus(sl, strategy, n, tparams.seed, **walk)
-            models[y] = train(init_model(sl, tparams), corpus, tparams)
-    records, aggregates = run_experiment(
-        g, cfg, graphs, models, queries_by_ratio=queries_by_ratio)
+    needs_model = any(m in EMBEDDING_METHODS for m in cfg.methods)
+
+    def serve(year, queries):
+        sl = g.time_slice(year)
+        check_no_time_leakage({year: sl}, g, queries)
+        if not needs_model:
+            return sl, None
+        corpus = sample_corpus(sl, strategy, n, tparams.seed, **walk)
+        model = train(init_model(sl, tparams), corpus, tparams)
+        check_no_time_leakage({year: model}, g, queries)
+        return sl, model
+
+    records, aggregates = _rank_by_year(cfg, queries_by_ratio, serve)
     return queries_by_ratio, records, aggregates
 
 

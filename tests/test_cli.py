@@ -1,8 +1,13 @@
+import io
+import re
+import zipfile
+
 import numpy as np
 import pytest
 
 from citerec import evaluation, sampling
 from citerec.cli import main, params_hash, read_config
+from citerec.graph import CitationGraph
 from citerec.sampling import SamplingParams, generate_walk_corpus
 from .conftest import make_synthetic_citation_corpus_graph
 
@@ -159,6 +164,15 @@ def test_graph_cache_with_damaged_directory_offset_is_clean_error(tmp_path,
         f"error: {bad}: not a citerec graph cache\n")
 
 
+def ids_npy(old, new):
+    """The bytes of ['a', 'b'] as an .npy member, with ``old`` in its
+    header replaced by ``new`` of the same length."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.array(["a", "b"]))
+    assert len(old) == len(new) and old in buf.getvalue()
+    return buf.getvalue().replace(old, new)
+
+
 @pytest.mark.parametrize("arrays", [
     dict(edges_w=[3]),  # read as the self-loop b->b
     dict(edges_u=[1], edges_w=[-1]),  # read as a->b
@@ -169,13 +183,23 @@ def test_graph_cache_with_damaged_directory_offset_is_clean_error(tmp_path,
     dict(edges_u=[0, 1]),
     dict(ids=np.array("ab")),  # read as ['a', 'b']
     dict(ids=[1, 2]),
+    # not a pickle, so not an old cache
+    dict(ids=ids_npy(b"{'descr': '<U1'", b"garbage        ")),
+    dict(ids=ids_npy(b"(2,), } ", b"(-1,), }")),
 ], ids=["past-n", "negative", "float", "far-past-n", "object-years",
-        "short-years", "edge-lengths", "0-d-ids", "int-ids"])
+        "short-years", "edge-lengths", "0-d-ids", "int-ids",
+        "garbage-ids-header", "negative-ids-shape"])
 def test_crafted_graph_cache_is_clean_error(tmp_path, capsys, arrays):
     path = tmp_path / "g.npz"
-    np.savez_compressed(path, **{"ids": np.array(["a", "b"]),
-                                 "years": [2000, 2001], "edges_u": [0],
-                                 "edges_w": [1], **arrays})
+    members = {"ids": np.array(["a", "b"]), "years": [2000, 2001],
+               "edges_u": [0], "edges_w": [1], **arrays}
+    # an array is saved as numpy writes it; bytes are stored as the member
+    np.savez_compressed(path, **{k: v for k, v in members.items()
+                                 if not isinstance(v, bytes)})
+    with zipfile.ZipFile(path, "a") as zf:
+        for k, v in members.items():
+            if isinstance(v, bytes):
+                zf.writestr(f"{k}.npy", v)
     assert main(["slice", "--graph", str(path), "--year", "2001",
                  "--output", str(tmp_path / "s.npz")]) == 1
     assert capsys.readouterr().err == (
@@ -350,6 +374,37 @@ def test_evaluate_samples_with_walk_params(dataset, monkeypatch):
                  "--output", str(d / "report.csv")]) == 0
     assert drawn == [("biased", SamplingParams(n=1, t=5, p=0.5, q=2.0,
                                                seed=3))]
+
+
+@pytest.mark.parametrize("methods", ["paperrank,cf", "simavg,paperrank"])
+def test_evaluate_rejects_a_slice_that_leaks(dataset, capsys, monkeypatch,
+                                             methods):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--nodes", str(nodes),
+          "--output", str(d / "g.npz")])
+    capsys.readouterr()
+    time_slice = CitationGraph.time_slice
+    kept = []   # (slice year, the future paper it keeps)
+
+    def leaky(self, year):
+        """The slice at ``year`` plus the first paper published after it."""
+        sl = time_slice(self, year)
+        tok = next(t for t, y in zip(self.ids, self.years) if y > year)
+        kept.append((year, tok))
+        return CitationGraph(sl.ids + [tok],
+                             np.append(sl.years, self.year_of(tok)),
+                             *sl.edge_list())
+    monkeypatch.setattr(CitationGraph, "time_slice", leaky)
+    assert main(["evaluate", "--graph", str(d / "g.npz"), "--queries", "8",
+                 "--min-refs", "3", "--max-refs", "12",
+                 "--min-year", "2007", "--max-year", "2009",
+                 "--methods", methods, "--dim", "8", "--epochs", "1",
+                 "--output", str(d / "report.csv")]) == 1
+    [(year, tok)] = kept    # the first slice year ends the run
+    assert re.fullmatch(
+        rf"error: time leakage: '{tok}' \(year {g.year_of(tok)}\) serves "
+        rf"query '[^']+' of year {year + 1}\n", capsys.readouterr().err)
+    assert not (d / "report.csv").exists()
 
 
 @pytest.mark.parametrize("flag,value,message", [

@@ -1,6 +1,8 @@
+import gc
 import re
 import tempfile
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -570,3 +572,37 @@ def test_evaluate_without_embedding_methods_samples_and_trains_nothing(
     monkeypatch.setattr(evaluation, "train", forbidden)
     monkeypatch.setattr(evaluation, "sample_corpus", forbidden)
     assert evaluation.evaluate(g, cfg, tparams, "cocit", 2)[2] == expected[2]
+
+
+def test_evaluate_holds_one_slice_and_one_model_at_a_time(monkeypatch):
+    g = eval_graph()
+    cfg = eval_config(year_range=(2006, 2010), methods=("simavg", "citmod"))
+    tparams = TrainParams(dim=8, epochs=1, seed=1)
+    expected = evaluation.evaluate(g, cfg, tparams, "cocit", 1)
+    slices, models = [], []     # weak references to what evaluate made
+    alive = []  # (slices, models) alive when each slice or training starts
+    time_slice, train = CitationGraph.time_slice, evaluation.train
+
+    def count_alive():
+        gc.collect()
+        alive.append((sum(r() is not None for r in slices),
+                      sum(r() is not None for r in models)))
+
+    def tracked_slice(self, year):
+        count_alive()
+        sl = time_slice(self, year)
+        slices.append(weakref.ref(sl))
+        return sl
+
+    def tracked_train(*args):
+        count_alive()
+        model = train(*args)
+        models.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(CitationGraph, "time_slice", tracked_slice)
+    monkeypatch.setattr(evaluation, "train", tracked_train)
+    assert evaluation.evaluate(g, cfg, tparams, "cocit", 1) == expected
+    assert len(models) == 5
+    # each slice starts with nothing alive; each training with its slice only
+    assert alive == [(0, 0), (1, 0)] * 5
