@@ -44,6 +44,9 @@ def read_config(path):
 
 def _load_any_graph(path, nodes=None):
     if str(path).endswith(".npz"):
+        if nodes is not None:
+            raise ValueError(f"--nodes {nodes}: the graph cache {path} "
+                             "holds its own years")
         return CitationGraph.load_cache(path)
     return load_graph(path, nodes)
 
@@ -141,7 +144,7 @@ def cmd_plotdata(args):
     if missing:
         raise ValueError(f"{args.report}: missing report column(s): "
                          f"{', '.join(missing)}")
-    n_rows, cells = 0, {}
+    cells = {}
     for lineno, line in lines:
         fields = line.strip().split(",")
         if len(fields) != len(header):
@@ -152,8 +155,10 @@ def cmd_plotdata(args):
             key = (r["method"], int(r["k"]), float(r["hidden_ratio"]))
         except ValueError as exc:
             raise ValueError(f"{args.report}:{lineno}: {exc}") from None
-        cells.setdefault(key, r["mean_recall"])
-        n_rows += 1
+        if key in cells:
+            raise ValueError(f"{args.report}:{lineno}: repeated cell "
+                             f"{key[0]}, k={key[1]}, ratio {key[2]:g}")
+        cells[key] = r["mean_recall"]
     methods = sorted({m for m, _, _ in cells})
     ks = sorted({k for _, k, _ in cells})
     ratios = sorted({r for _, _, r in cells})
@@ -165,8 +170,8 @@ def cmd_plotdata(args):
     _write_series(args.prefix + "_recall_vs_ratio.csv", "k,hidden_ratio",
                   [(f"{k},{r:g}", k, r) for k in ks for r in ratios],
                   methods, cells)
-    print(f"plotdata: {n_rows} report rows -> {args.prefix}_recall_vs_k.csv, "
-          f"{args.prefix}_recall_vs_ratio.csv")
+    print(f"plotdata: {len(cells)} report rows -> "
+          f"{args.prefix}_recall_vs_k.csv, {args.prefix}_recall_vs_ratio.csv")
     return 0
 
 

@@ -79,10 +79,19 @@ def _csr_from_keys(keys, n):
 
 class PaperIds:
     """Distinct paper ids (opaque tokens) and their rows: ``ids[i]`` is
-    row i.  Graphs and models both map ids to rows through here."""
+    row i.  Graphs and models both map ids to rows through here.  Every id
+    must encode as UTF-8, as every text writer writes it so."""
 
     def __init__(self, ids):
         self.ids = list(ids)
+        # one C-level pass clears the common all-ASCII case
+        if not "".join(self.ids).isascii():
+            for tok in self.ids:
+                try:
+                    tok.encode("utf-8")
+                except UnicodeEncodeError:  # a lone surrogate
+                    raise GraphError(
+                        f"paper id {tok!r} does not encode as UTF-8") from None
         self._rows = {tok: i for i, tok in enumerate(self.ids)}
         if len(self._rows) != len(self.ids):
             raise GraphError("duplicate paper ids")
@@ -277,16 +286,6 @@ class CitationGraph(PaperIds):
             except (zipfile.BadZipFile, EOFError, KeyError, zlib.error,
                     RuntimeError, OSError):
                 raise GraphError(bad) from None
-        fp = io.BytesIO(ids)
-        try:
-            major, _ = np.lib.format.read_magic(fp)
-            header = (np.lib.format.read_array_header_1_0 if major == 1 else
-                      np.lib.format.read_array_header_2_0)(fp)
-        except (ValueError, tokenize.TokenError):  # left to the full parse
-            header = None
-        if header and header[2].hasobject:  # only pickle loads object arrays
-            raise GraphError(f"{path}: graph cache holds pickled ids; "
-                             "re-run citerec ingest")
         try:
             # every array is parsed first, so no raw member is held while the
             # graph is built
@@ -297,16 +296,17 @@ class CitationGraph(PaperIds):
                 raise ValueError("ids are not a 1-D text array")
             return cls(ids.tolist(), years, u, w)
         # an array numpy cannot parse (a header with unbalanced brackets
-        # raises TokenError), or arrays that form no graph
+        # raises TokenError; an object array would need pickle), or arrays
+        # that form no graph
         except (ValueError, tokenize.TokenError):
             raise GraphError(bad) from None
 
     def save_edges(self, edges_path, nodes_path=None):
         """Write the tab-separated edge file (and optional node-year file).
         An id that would not read back, one that is empty, holds only
-        whitespace (a line of two such ids is skipped as blank), holds a
-        tab or a line break, or does not encode as UTF-8 (a lone
-        surrogate), raises GraphError before anything is written."""
+        whitespace (a line of two such ids is skipped as blank) or holds a
+        tab or a line break, raises GraphError before anything is
+        written."""
         for tok in self.ids:
             if not tok.strip():
                 raise GraphError(f"paper id {tok!r} is blank and cannot be "
@@ -315,12 +315,6 @@ class CitationGraph(PaperIds):
                 if c in tok:
                     raise GraphError(f"paper id {tok!r} holds {c!r} and cannot "
                                      "be written to an edge or node file")
-            try:
-                tok.encode("utf-8")
-            except UnicodeEncodeError:  # a lone surrogate
-                raise GraphError(f"paper id {tok!r} does not encode as UTF-8 "
-                                 "and cannot be written to an edge or node "
-                                 "file") from None
         u, w = self.edge_list()
         with open(edges_path, "w", encoding="utf-8") as f:
             for a, b in zip(u, w):

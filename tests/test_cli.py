@@ -106,17 +106,6 @@ def test_train_unknown_corpus_id_names_line(dataset, capsys):
         f"error: {corpus}:3: unknown paper id: 'QQ'\n")
 
 
-def test_pickled_graph_cache_is_clean_error(tmp_path, capsys):
-    old = tmp_path / "old.npz"
-    np.savez_compressed(old, ids=np.array(["A", "B"], dtype=object),
-                        years=np.array([2000, 2001]),
-                        edges_u=np.array([1]), edges_w=np.array([0]))
-    assert main(["slice", "--graph", str(old), "--year", "2000",
-                 "--output", str(tmp_path / "s.npz")]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {old}: graph cache holds pickled ids; re-run citerec ingest\n")
-
-
 def test_truncated_graph_cache_is_clean_error(dataset, capsys):
     g, edges, nodes, d = dataset
     main(["ingest", "--edges", str(edges), "--nodes", str(nodes),
@@ -183,12 +172,13 @@ def ids_npy(old, new):
     dict(edges_u=[0, 1]),
     dict(ids=np.array("ab")),  # read as ['a', 'b']
     dict(ids=[1, 2]),
-    # not a pickle, so not an old cache
+    dict(ids=np.array(["a", "b"], dtype=object)),  # loads only as a pickle
     dict(ids=ids_npy(b"{'descr': '<U1'", b"garbage        ")),
     dict(ids=ids_npy(b"(2,), } ", b"(-1,), }")),
+    dict(ids=np.array(["a", "c\udcff"])),  # a lone surrogate
 ], ids=["past-n", "negative", "float", "far-past-n", "object-years",
-        "short-years", "edge-lengths", "0-d-ids", "int-ids",
-        "garbage-ids-header", "negative-ids-shape"])
+        "short-years", "edge-lengths", "0-d-ids", "int-ids", "object-ids",
+        "garbage-ids-header", "negative-ids-shape", "surrogate-id"])
 def test_crafted_graph_cache_is_clean_error(tmp_path, capsys, arrays):
     path = tmp_path / "g.npz"
     members = {"ids": np.array(["a", "b"]), "years": [2000, 2001],
@@ -205,6 +195,42 @@ def test_crafted_graph_cache_is_clean_error(tmp_path, capsys, arrays):
     assert capsys.readouterr().err == (
         f"error: {path}: not a citerec graph cache\n")
     assert not (tmp_path / "s.npz").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--strategy", "uniform", "--n", "1", "--t", "5"],
+    ["recommend", "--method", "cf", "--seeds", "{seed}"],
+    ["evaluate", "--queries", "8", "--min-refs", "3", "--max-refs", "12",
+     "--methods", "cf", "--queries-out", "{out}.q"],
+], ids=["sample", "recommend", "evaluate"])
+def test_cache_with_id_that_cannot_be_written_writes_nothing(dataset, capsys,
+                                                             argv):
+    g, edges, nodes, d = dataset
+    # each id ends in a lone surrogate, which no text writer can write
+    ids = [tok + "\udcff" for tok in g.ids]
+    path = d / "g.npz"
+    u, w = g.edge_list()
+    np.savez_compressed(path, ids=np.array(ids), years=g.years, edges_u=u,
+                        edges_w=w)
+    out = d / "out"
+    argv = [a.format(seed=",".join(ids[:3]), out=out) for a in argv]
+    assert main(argv + ["--graph", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: not a citerec graph cache\n")
+    assert not out.exists() and not (d / "out.q").exists()
+
+
+def test_nodes_with_graph_cache_is_error(dataset, capsys):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--nodes", str(nodes),
+          "--output", str(d / "g.npz")])
+    capsys.readouterr()
+    assert main(["slice", "--graph", str(d / "g.npz"), "--nodes", str(nodes),
+                 "--year", "2005", "--output", str(d / "s.npz")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --nodes {nodes}: the graph cache {d / 'g.npz'} holds its "
+        "own years\n")
+    assert not (d / "s.npz").exists()
 
 
 def test_edge_file_not_utf8_names_line(tmp_path, capsys):
@@ -556,7 +582,10 @@ def test_plotdata_rejects_short_row(tmp_path, capsys):
      ":4: invalid literal for int() with base 10: 'ten'"),
     (REPORT_HEADER + "cf,0.1,10,0.5,4\ncf,x,10,0.5,4\n",
      ":3: could not convert string to float: 'x'"),
-], ids=["no-method", "two-missing", "empty", "bad-k", "bad-ratio"])
+    (REPORT_HEADER + "cf,0.1,10,0.5,4\ncf,0.10,10,0.9,4\n",
+     ":3: repeated cell cf, k=10, ratio 0.1"),
+], ids=["no-method", "two-missing", "empty", "bad-k", "bad-ratio",
+        "repeated-cell"])
 def test_plotdata_names_bad_report(tmp_path, capsys, text, message):
     report = tmp_path / "report.csv"
     report.write_text(text)

@@ -162,6 +162,14 @@ def test_model_rejects_duplicate_ids():
         EmbeddingModel(["a", "a", "b"], np.ones((3, 2)), np.zeros((3, 2)))
 
 
+def test_graph_and_model_reject_id_that_does_not_encode_as_utf8():
+    message = r"^paper id 'c\\udcff' does not encode as UTF-8$"
+    with pytest.raises(GraphError, match=message):
+        CitationGraph.from_edges([("a", "é"), ("c\udcff", "a")])
+    with pytest.raises(GraphError, match=message):
+        EmbeddingModel(["é", "c\udcff"], np.ones((2, 2)), np.zeros((2, 2)))
+
+
 def test_model_and_graph_raise_one_unknown_id_error():
     g = CitationGraph.from_edges([("a", "b")])
     m = EmbeddingModel(g.ids, np.ones((2, 2)), np.zeros((2, 2)))

@@ -361,7 +361,7 @@ def test_edge_file_roundtrip(tmp_path):
     assert np.array_equal(g2.years, g.years)
 
 
-@pytest.mark.parametrize("tok", ["", " ", "a\tx", "a\nx", "a\rx", "c\udcff"])
+@pytest.mark.parametrize("tok", ["", " ", "a\tx", "a\nx", "a\rx"])
 def test_save_edges_rejects_id_that_cannot_read_back(tmp_path, tok):
     g = CitationGraph.from_edges([(tok, "b")], years={tok: 2000, "b": 2001})
     with pytest.raises(GraphError) as err:
