@@ -75,13 +75,14 @@ class TrainParams:
 
 class EmbeddingModel(PaperIds):
     """Input matrix (row v = embedding of paper v), output matrix (row i
-    produces the logit of paper i) and the paper-id vocabulary."""
+    produces the logit of paper i) and the paper-id vocabulary.  Both
+    matrices are float32, as word2vec keeps them; a finite value that
+    float32 cannot hold raises ValueError."""
 
     def __init__(self, ids, w_in, w_out):
         super().__init__(ids)
         # contiguous, so that training can update the flat matrices in place
-        self.w_in = np.ascontiguousarray(w_in, dtype=np.float64)
-        self.w_out = np.ascontiguousarray(w_out, dtype=np.float64)
+        self.w_in, self.w_out = (_float32_matrix(w) for w in (w_in, w_out))
         if self.w_in.shape != self.w_out.shape or self.w_in.shape[0] != len(self.ids):
             raise ValueError("matrix shapes disagree with vocabulary size")
 
@@ -94,14 +95,26 @@ class EmbeddingModel(PaperIds):
         return self.w_in.shape[1]
 
 
+def _float32_matrix(w):
+    """``w`` as a C-contiguous float32 array; a finite value past float32's
+    range raises ValueError rather than becoming inf."""
+    w = np.asarray(w)
+    with np.errstate(over="ignore"):
+        w32 = np.ascontiguousarray(w, dtype=np.float32)
+    if w.dtype != np.float32 and (np.isinf(w32) & np.isfinite(w)).any():
+        raise ValueError("model value out of float32 range")
+    return w32
+
+
 def init_model(g: CitationGraph, params: TrainParams):
-    """W_in ~ U(-0.5/d, 0.5/d) from the seeded RNG, W_out all zeros."""
+    """W_in ~ U(-0.5/d, 0.5/d) from the seeded RNG, W_out all zeros.  The
+    draws are float64, rounded to float32 once."""
     if g.n == 0:
         raise ValueError("cannot initialize a model on an empty graph")
     rng = np.random.default_rng(params.seed)
     scale = 0.5 / params.dim
     w_in = rng.uniform(-scale, scale, size=(g.n, params.dim))
-    w_out = np.zeros((g.n, params.dim))
+    w_out = np.zeros((g.n, params.dim), dtype=np.float32)
     return EmbeddingModel(g.ids, w_in, w_out)
 
 
@@ -152,14 +165,16 @@ def softmax(logits):
 
 
 def forward(m: EmbeddingModel, context):
-    """Probability of every paper given a context of model rows."""
+    """Probability of every paper given a context of model rows.  The
+    logits are one float32 product, as the model stores them; the softmax
+    runs in float64, so the probabilities sum to 1 within 1e-9."""
     rows = np.atleast_1d(np.asarray(context, dtype=np.int64))
     if rows.size == 0:
         raise ValueError("context must be non-empty")
     if rows.min() < 0 or rows.max() >= m.n:
         raise ValueError("context index out of vocabulary range")
     h = m.w_in[rows].mean(axis=0)
-    return softmax(m.w_out @ h)
+    return softmax((m.w_out @ h).astype(np.float64))
 
 
 def _noise_distribution(tokens, n):
@@ -226,12 +241,13 @@ def _block_windows(params: TrainParams, n):
 def _context_mean(w_in, rows, bounds):
     """``(rows, counts, h)`` of a block whose window j has the context rows
     ``rows[bounds[j]:bounds[j + 1]]``: the block's context rows, each
-    window's context size and each window's mean context vector."""
+    window's context size (an integer) and each window's mean context
+    vector, in ``w_in``'s dtype."""
     rows = rows[bounds[0]:bounds[-1]]
     counts = np.diff(bounds)
     # take() copies the same rows as indexing, in half the time
     h = (np.add.reduceat(w_in.take(rows, axis=0), bounds[:-1] - bounds[0],
-                         axis=0) / counts[:, None])
+                         axis=0) / counts[:, None].astype(w_in.dtype))
     return rows, counts, h
 
 
@@ -240,13 +256,15 @@ def _scatter_add(w, rows, values):
 
     ``np.add.at`` on the flat matrix is about 2.5x faster than on its rows,
     with the same additions in the same order.  At an even dim it runs on
-    the matrices' ``complex128`` view, which halves its index and its work:
-    a complex add is two float adds, each in the same order as before.  An
-    odd dim keeps the float64 view.  ``w`` is C-contiguous, as
-    ``EmbeddingModel`` keeps it, so both views share its memory.
+    the matrices' complex view (``complex64`` for float32), which halves its
+    index and its work: a complex add is two float adds, each in the same
+    order as before.  An odd dim keeps the real view.  ``w`` is
+    C-contiguous, as ``EmbeddingModel`` keeps it, so both views share its
+    memory; ``values`` has ``w``'s dtype.
     """
     if w.shape[1] % 2 == 0:
-        w, values = w.view(np.complex128), values.view(np.complex128)
+        pair = np.promote_types(w.dtype, np.complex64)
+        w, values = w.view(pair), values.view(pair)
     d = w.shape[1]
     flat = (rows[:, None] * d + np.arange(d)).ravel()
     np.add.at(w.reshape(-1), flat, values.reshape(-1))
@@ -262,9 +280,11 @@ def _exact_block(m, targets, rows, bounds, lrs):
     gradient through the mean, so the step is -lr times the true gradient of
     the summed block loss.  The three products run as ``np.einsum``, numpy's
     own loops rather than BLAS, so the bits do not depend on the BLAS thread
-    count.  Returns each step's loss.
+    count.  Every temporary has the parameters' dtype.  Returns each step's
+    loss.
     """
     w_in, w_out = m.w_in, m.w_out
+    dtype = w_in.dtype
     rows, counts, h = _context_mean(w_in, rows, bounds)
     dlogits = softmax(np.einsum("bd,nd->bn", h, w_out))
     hit = np.arange(targets.size), targets
@@ -272,11 +292,11 @@ def _exact_block(m, targets, rows, bounds, lrs):
     dlogits[hit] -= 1.0
     dh = np.einsum("bn,nd->bd", dlogits, w_out)
     # -(a * b) == (-a) * b bit for bit, so the small factor is negated
-    neg_lr = -lrs[:, None]
+    neg_lr = -lrs.astype(dtype)[:, None]
     dlogits *= neg_lr
     w_out += np.einsum("bn,bd->nd", dlogits, h)
-    _scatter_add(w_in, rows, np.repeat(neg_lr * dh / counts[:, None], counts,
-                                       axis=0))
+    _scatter_add(w_in, rows, np.repeat(
+        neg_lr * dh / counts[:, None].astype(dtype), counts, axis=0))
     return losses
 
 
@@ -290,10 +310,11 @@ def _neg_block(m, out_rows, rows, bounds, lrs):
     both updates.  Each context row gets the whole context error ``dh``,
     undivided by the context size, as word2vec's CBOW applies ``neu1e``;
     the exact gradient of the mean divides it, as ``_exact_block`` does.
-    Returns each step's loss.
+    Every temporary has the parameters' dtype.  Returns each step's loss.
     """
     w_in, w_out = m.w_in, m.w_out
-    labels = np.zeros(out_rows.shape[1])
+    dtype = w_in.dtype
+    labels = np.zeros(out_rows.shape[1], dtype=dtype)
     labels[0] = 1.0
     rows, counts, h = _context_mean(w_in, rows, bounds)
     wo = w_out.take(out_rows, axis=0)
@@ -301,7 +322,7 @@ def _neg_block(m, out_rows, rows, bounds, lrs):
     derr = scores - labels
     dh = np.einsum("bk,bkd->bd", derr, wo)
     # -(a * b) == (-a) * b bit for bit, so the small factor is negated
-    neg_lr = -lrs[:, None]
+    neg_lr = -lrs.astype(dtype)[:, None]
     _scatter_add(w_out, out_rows.ravel(),
                  (neg_lr * derr)[:, :, None] * h[:, None, :])
     _scatter_add(w_in, rows, np.repeat(neg_lr * dh, counts, axis=0))
@@ -363,7 +384,7 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
                     raise TrainingError(
                         f"non-finite loss at step {step + j} "
                         f"(lr={lrs[j]:.6g})")
-                loss_sum += losses.sum()
+                loss_sum += float(losses.sum(dtype=np.float64))
                 step += b1 - b0
         elapsed = time.perf_counter() - t0
         log.info("epoch %d/%d: mean loss %.6g over %d windows, %.0f windows/s",
@@ -376,7 +397,8 @@ def train(m: EmbeddingModel, corpus: WalkCorpus, params: TrainParams):
 
 def save_model(m: EmbeddingModel, path_in):
     """Text format: header ``N d`` then one ``<paper_id> <f_1> ... <f_d>``
-    row per node; W_out goes to ``<path_in>.out`` in the same layout.  An
+    row per node; W_out goes to ``<path_in>.out`` in the same layout.  Each
+    value is written ``%.9g``, which reads back as the same float32.  An
     id holding whitespace raises GraphError before anything is written."""
     for tok in m.ids:
         if not is_token(tok):
@@ -391,14 +413,16 @@ def save_model(m: EmbeddingModel, path_in):
 
 
 def _load_matrix(path):
-    """The ids and the ``N x d`` matrix of one model file.
+    """The ids and the ``N x d`` float32 matrix of one model file.
 
     The value block is parsed by one ``np.loadtxt`` call, which splits on
-    the same whitespace as ``str.split``.  It reads fewer spellings than
-    ``float()`` (no ``1_0``, no non-ASCII digits), so when it fails, or its
-    result is not a finite ``(N, d)`` block of unique ids,
-    ``_parse_rows`` parses the file line by line: it raises the first bad
-    line's ``path:line`` error or returns what ``float()`` reads.
+    the same whitespace as ``str.split``, and rounded to float32 once.  It
+    reads fewer spellings than ``float()`` (no ``1_0``, no non-ASCII
+    digits), so when it fails, or its result is not a finite ``(N, d)``
+    block of unique ids, ``_parse_rows`` parses the file line by line: it
+    raises the first bad line's ``path:line`` error or returns what
+    ``float()`` reads, rounded to float32.  ``save_model``'s ``%.9g`` reads
+    back as the float32 it wrote.
     """
     lines = text_lines(path)
     lineno, header = next(lines, (1, ""))
@@ -421,6 +445,8 @@ def _load_matrix(path):
             except ValueError:
                 pass
             else:
+                with np.errstate(over="ignore"):
+                    mat = mat.astype(np.float32)
                 if mat.shape == (n, d) and np.isfinite(mat).all():
                     return ids, mat
     return _parse_rows(path, body, n, d)
@@ -428,7 +454,8 @@ def _load_matrix(path):
 
 def _parse_rows(path, body, n, d):
     """``_load_matrix``'s per-line parse of the ``(line_number, line)``
-    pairs after the header: one ``float()`` per value."""
+    pairs after the header: one ``float()`` per value, rounded to float32.
+    A value float32 cannot hold is an error, as a non-finite one is."""
     ids, rows, linenos, seen = [], [], [], set()
     for lineno, line in body:
         parts = line.split()
@@ -448,10 +475,15 @@ def _parse_rows(path, body, n, d):
         raise ValueError(
             f"{path}: header declares {n} rows, found {len(ids)}")
     mat = np.array(rows, dtype=np.float64).reshape(len(ids), d)
-    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    with np.errstate(over="ignore"):
+        mat32 = mat.astype(np.float32)
+    bad = np.flatnonzero(~np.isfinite(mat32).all(axis=1))
     if bad.size:
-        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
-    return ids, mat
+        i = bad[0]
+        what = ("non-finite value" if not np.isfinite(mat[i]).all()
+                else "value out of float32 range")
+        raise ValueError(f"{path}:{linenos[i]}: {what}")
+    return ids, mat32
 
 
 def load_model(path_in):

@@ -7,6 +7,10 @@ registers them with the baselines under the names every caller uses.
 ``recommend`` turns the seed list into rows once, through ``seed_rows``, so
 every method reads its seeds as a set: a repeated seed counts once.  The
 scorers and ``rank_scores`` take those rows.
+
+A model stores float32 matrices.  The cosine schemes read them as float64,
+so a cosine is exact wherever its inputs' products are.  CitMod takes its
+logits as one float32 product and its softmax in float64 (``forward``).
 """
 
 from __future__ import annotations
@@ -20,21 +24,22 @@ from .embedding import EmbeddingModel, forward
 from .graph import CitationGraph
 
 
-def _cosines(m: EmbeddingModel, refs):
-    """Cosine of every input-matrix row against each row of ``refs``, as an
-    N x k array; zero vectors score 0.  Built k x N and returned transposed,
-    so that a sum over the columns adds them in ``refs`` order."""
-    denom = np.outer(np.linalg.norm(refs, axis=1),
-                     np.linalg.norm(m.w_in, axis=1))
+def _cosines(w, refs):
+    """Cosine of every row of the float64 input matrix ``w`` against each
+    row of ``refs``, as an N x k array; zero vectors score 0.  Built k x N
+    and returned transposed, so that a sum over the columns adds them in
+    ``refs`` order."""
+    denom = np.outer(np.linalg.norm(refs, axis=1), np.linalg.norm(w, axis=1))
     out = np.zeros(denom.shape)
-    np.divide(refs @ m.w_in.T, denom, out=out, where=denom > 0)
+    np.divide(refs @ w.T, denom, out=out, where=denom > 0)
     return out.T
 
 
 def sim_avg(m: EmbeddingModel, rows):
     """Mean cosine similarity to the vectors of the seed rows ``rows``, for
     every candidate."""
-    return _cosines(m, m.w_in[rows]).mean(axis=1)
+    w = m.w_in.astype(np.float64)
+    return _cosines(w, w[rows]).mean(axis=1)
 
 
 def sim_wgd(m: EmbeddingModel, g: CitationGraph, rows):
@@ -43,13 +48,15 @@ def sim_wgd(m: EmbeddingModel, g: CitationGraph, rows):
     multiplying by its inverse, rounds as a per-seed sum of cos/degree."""
     delta = np.array([g.degree(g.index_of(m.ids[r])) for r in rows])
     live = delta > 0
-    cos = _cosines(m, m.w_in[rows[live]])
+    w = m.w_in.astype(np.float64)
+    cos = _cosines(w, w[rows[live]])
     return (cos / delta[live]).sum(axis=1) / rows.size
 
 
 def sim_ref(m: EmbeddingModel, rows):
     """Cosine similarity to the mean vector of the seed rows ``rows``."""
-    return _cosines(m, m.w_in[rows].mean(axis=0, keepdims=True))[:, 0]
+    w = m.w_in.astype(np.float64)
+    return _cosines(w, w[rows].mean(axis=0, keepdims=True))[:, 0]
 
 
 def rank_scores(ids, scores, exclude_rows, k):

@@ -252,6 +252,19 @@ def test_recommend_rejects_non_finite_model_value(tmp_path, capsys):
     assert not (tmp_path / "rec.csv").exists()
 
 
+def test_recommend_rejects_model_value_past_float32(tmp_path, capsys):
+    # 1e39 is finite as a double and inf as a float32
+    model = tmp_path / "m.txt"
+    model.write_text("2 2\na 1 0\nb 1e39 0\n")
+    (tmp_path / "m.txt.out").write_text("2 2\na 0 0\nb 0 0\n")
+    assert main(["recommend", "--method", "simavg", "--seeds", "a",
+                 "--model", str(model),
+                 "--output", str(tmp_path / "rec.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}:3: value out of float32 range\n")
+    assert not (tmp_path / "rec.csv").exists()
+
+
 @pytest.mark.parametrize("text", ["0 -1\n", "2 -1\na 1 0\nb 0 1\n",
                                   "-1 3\n"])
 def test_recommend_rejects_negative_model_header(tmp_path, capsys, text):

@@ -1,12 +1,14 @@
 import logging
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from citerec import embedding
 from citerec.graph import CitationGraph, GraphError, text_lines
+from citerec.ranking import ALL_METHODS
 from citerec.sampling import (SamplingParams, cocitation_corpus,
                               generate_walk_corpus)
 from citerec.embedding import (EmbeddingModel, TrainParams, TrainingError,
@@ -170,6 +173,20 @@ def test_graph_and_model_reject_id_that_does_not_encode_as_utf8():
         EmbeddingModel(["é", "c\udcff"], np.ones((2, 2)), np.zeros((2, 2)))
 
 
+def test_model_rejects_value_past_float32_range():
+    big = np.array([[1.0, 0.0], [0.0, 2.0 ** 128]])
+    for w_in, w_out in ((big, np.zeros((2, 2))), (np.ones((2, 2)), -big)):
+        with pytest.raises(ValueError, match="^model value out of float32 "
+                                             "range$"):
+            EmbeddingModel(["a", "b"], w_in, w_out)
+    # float32's largest value is kept; non-finite values pass through
+    top = float(np.finfo(np.float32).max)
+    m = EmbeddingModel(["a", "b"], [[top, np.inf], [np.nan, 0.0]],
+                       np.zeros((2, 2)))
+    assert m.w_in.dtype == m.w_out.dtype == np.float32
+    assert m.w_in[0, 0] == top and np.isinf(m.w_in[0, 1])
+
+
 def test_model_and_graph_raise_one_unknown_id_error():
     g = CitationGraph.from_edges([("a", "b")])
     m = EmbeddingModel(g.ids, np.ones((2, 2)), np.zeros((2, 2)))
@@ -236,11 +253,13 @@ def max_rel_err(got, want):
 
 
 def gradient_check_model(seed=11):
+    """The parameters of the finite-difference checks, in float64.  The
+    block steps read only ``w_in`` and ``w_out`` and follow their dtype; a
+    float32 step's rounding would swamp differences at ``eps=1e-5``."""
     rng = np.random.default_rng(seed)
     n, d = 12, 8
-    return EmbeddingModel([f"n{i}" for i in range(n)],
-                          rng.normal(scale=0.3, size=(n, d)),
-                          rng.normal(scale=0.3, size=(n, d)))
+    return SimpleNamespace(w_in=rng.normal(scale=0.3, size=(n, d)),
+                           w_out=rng.normal(scale=0.3, size=(n, d)))
 
 
 def exact_step_errors(m, windows, lr):
@@ -339,7 +358,10 @@ def test_noise_distribution_counts_every_token():
 
 def reference_train(m, corpus, params):
     """The trainer that ``train`` must reproduce bit for bit, one window at
-    a time; returns each epoch's mean loss.
+    a time, in float32 as the model stores its matrices; returns each
+    epoch's mean loss.  Every value it mixes with the parameters (learning
+    rates, context sizes, labels) is made float32 by hand, so no promotion
+    rule decides a dtype.
 
     Both modes take each block of windows as one step: every window reads
     the parameters as they were at the start of its block, then every update
@@ -360,7 +382,7 @@ def reference_train(m, corpus, params):
         noise = _noise_distribution(corpus.tokens, m.n)
         noise_cdf = np.cumsum(noise)
         last = np.flatnonzero(noise)[-1]
-        labels = np.zeros(params.negatives + 1)
+        labels = np.zeros(params.negatives + 1, dtype=np.float32)
         labels[0] = 1.0
     total = max(params.epochs * len(windows), 1)
     step = 0
@@ -377,26 +399,30 @@ def reference_train(m, corpus, params):
             else:
                 lrs = np.array([params.lr - (params.lr - params.lr_min)
                                 * ((step + j) / total)
-                                for j in range(blk.size)])
+                                for j in range(blk.size)], dtype=np.float32)
                 # a one-segment reduceat adds in train's order
                 hs = np.array([np.add.reduceat(w_in[windows[wi][1]], [0])[0]
-                               / windows[wi][1].size for wi in blk])
+                               / np.float32(windows[wi][1].size)
+                               for wi in blk])
                 probs = softmax(np.einsum("bd,nd->bn", hs, w_out))
-                dlogits = probs - np.eye(m.n)[[windows[wi][0] for wi in blk]]
+                dlogits = probs - np.eye(m.n, dtype=np.float32)[
+                    [windows[wi][0] for wi in blk]]
                 dhs = np.einsum("bn,nd->bd", dlogits, w_out)
                 w_out += np.einsum("bn,bd->nd", -lrs[:, None] * dlogits, hs)
             for j, wi in enumerate(blk):
                 target, rows = windows[wi]
-                lr = params.lr - (params.lr - params.lr_min) * (step / total)
+                lr = np.float32(params.lr - (params.lr - params.lr_min)
+                                * (step / total))
+                size = np.float32(rows.size)
                 if params.mode == "exact":
                     loss = -np.log(probs[j, target])
                     for c in rows:
-                        w_in[c] += -lr * dhs[j] / rows.size
+                        w_in[c] += -lr * dhs[j] / size
                 else:
                     out_rows = [target, *negs[j]]
                     # a one-segment reduceat adds in train's order, which
                     # differs from sum()'s in the last bit
-                    h = np.add.reduceat(in0[rows], [0])[0] / rows.size
+                    h = np.add.reduceat(in0[rows], [0])[0] / size
                     wo = out0[out_rows]
                     scores = _sigmoid(np.einsum("kd,d->k", wo, h))
                     loss = -np.log(np.abs(1.0 - labels - scores) + 1e-12).sum()
@@ -406,7 +432,7 @@ def reference_train(m, corpus, params):
                         w_out[r] -= (lr * e) * h
                     for c in rows:
                         w_in[c] -= lr * dh
-                loss_sum += loss
+                loss_sum += float(loss)
                 step += 1
         epoch_losses.append(loss_sum / len(windows))
     return epoch_losses
@@ -442,7 +468,7 @@ def test_train_byte_identical_to_reference(kind, mode, dim, chunked,
                                            monkeypatch):
     g, corpora = reference_corpora()
     corpus = corpora[kind]
-    # an odd dim scatters float64 values, an even one complex128 pairs
+    # an odd dim scatters float32 values, an even one complex64 pairs
     params = TrainParams(dim=dim, window=5, epochs=3, mode=mode, seed=4)
     n_windows = corpus_windows(corpus, params.window)[0].size
     if chunked:
@@ -463,8 +489,27 @@ def test_train_byte_identical_to_reference(kind, mode, dim, chunked,
     m = train(init_model(g, params), corpus, params)
     ref = init_model(g, params)
     reference_train(ref, corpus, params)
-    assert np.array_equal(m.w_in.view(np.uint64), ref.w_in.view(np.uint64))
-    assert np.array_equal(m.w_out.view(np.uint64), ref.w_out.view(np.uint64))
+    assert np.array_equal(m.w_in.view(np.uint32), ref.w_in.view(np.uint32))
+    assert np.array_equal(m.w_out.view(np.uint32), ref.w_out.view(np.uint32))
+
+
+@pytest.mark.parametrize("mode", ["exact", "neg"])
+def test_float32_model_trains_in_float32(mode, monkeypatch):
+    g, corpora = reference_corpora()
+    params = TrainParams(dim=6, window=5, epochs=1, mode=mode, seed=4)
+    scattered = []
+    scatter_add = embedding._scatter_add
+
+    def recording(w, rows, values):
+        scattered.append((w.dtype, values.dtype))
+        scatter_add(w, rows, values)
+    monkeypatch.setattr(embedding, "_scatter_add", recording)
+    m = init_model(g, params)
+    assert m.w_in.dtype == m.w_out.dtype == np.float32
+    m = train(m, corpora["cocit"], params)
+    assert m.w_in.dtype == m.w_out.dtype == np.float32
+    assert scattered
+    assert set(scattered) == {(np.dtype(np.float32), np.dtype(np.float32))}
 
 
 def test_exact_block_cap(monkeypatch):
@@ -484,8 +529,8 @@ def test_exact_block_cap(monkeypatch):
     m = train(init_model(g, params), corpora["biased"], params)
     ref = init_model(g, params)
     reference_train(ref, corpora["biased"], params)
-    assert np.array_equal(m.w_in.view(np.uint64), ref.w_in.view(np.uint64))
-    assert np.array_equal(m.w_out.view(np.uint64), ref.w_out.view(np.uint64))
+    assert np.array_equal(m.w_in.view(np.uint32), ref.w_in.view(np.uint32))
+    assert np.array_equal(m.w_out.view(np.uint32), ref.w_out.view(np.uint32))
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -510,16 +555,69 @@ for mode in ("exact", "neg"):
 
 
 def test_train_bits_do_not_depend_on_blas_threads(tmp_path):
+    dirs = run_under_blas_threads(TRAIN_BOTH_MODES, tmp_path)
+    for mode in ("exact", "neg"):
+        one, two = (np.load(d / f"{mode}.npy") for d in dirs)
+        assert np.array_equal(one.view(np.uint32), two.view(np.uint32)), mode
+
+
+# evaluate with all six methods on a 1,500-paper graph over two slice years
+# of about 1,300 rows each: every query runs one float32 CitMod product
+# (sgemv, 1,300 x 32) and float64 cosine products over up to 20 seeds.
+# Every ranked list, scores included, is kept with the per-query records.
+EVALUATE_ALL_METHODS = """
+import pickle
+import sys
+from citerec import evaluation
+from citerec.embedding import TrainParams
+from citerec.ranking import ALL_METHODS
+from tests.conftest import make_synthetic_citation_corpus_graph
+
+ranked = []
+recommend = evaluation.recommend
+
+
+def recording(method, seeds, k, **kwargs):
+    out = recommend(method, seeds, k, **kwargs)
+    ranked.append((method, tuple(seeds), out))
+    return out
+
+
+evaluation.recommend = recording
+g = make_synthetic_citation_corpus_graph(n_papers=1500, year_lo=2000,
+                                         year_hi=2010, seed=3)
+cfg = evaluation.ExperimentConfig(
+    hidden_ratios=(0.1, 0.9), n_queries=10, ref_range=(5, 25),
+    year_range=(2009, 2010), k_values=(10, 50), methods=ALL_METHODS, seed=2)
+tparams = TrainParams(dim=32, window=10, epochs=1, mode="neg", seed=2)
+_, records, _ = evaluation.evaluate(g, cfg, tparams, "cocit", 1)
+with open(sys.argv[1] + "/evaluate.pkl", "wb") as f:
+    # PaperRank ranks in a thread pool, so its calls come in any order
+    pickle.dump((records, sorted(ranked)), f)
+"""
+
+
+def run_under_blas_threads(script, tmp_path):
+    """Run ``script`` under 1 and 2 OpenBLAS threads; returns the two
+    output directories it was given."""
+    dirs = []
     for threads in ("1", "2"):
         (tmp_path / threads).mkdir()
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
-        subprocess.run([sys.executable, "-c", TRAIN_BOTH_MODES,
-                        str(tmp_path / threads)],
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)],
                        cwd=ROOT, env=env, check=True, timeout=600)
-    for mode in ("exact", "neg"):
-        one, two = (np.load(tmp_path / t / f"{mode}.npy") for t in "12")
-        assert np.array_equal(one.view(np.uint64), two.view(np.uint64)), mode
+        dirs.append(tmp_path / threads)
+    return dirs
+
+
+def test_evaluate_bits_do_not_depend_on_blas_threads(tmp_path):
+    one, two = run_under_blas_threads(EVALUATE_ALL_METHODS, tmp_path)
+    records, ranked = pickle.loads((one / "evaluate.pkl").read_bytes())
+    assert {rec["method"] for rec in records} == set(ALL_METHODS)
+    assert len(ranked) == len(records)
+    assert (one / "evaluate.pkl").read_bytes() == \
+        (two / "evaluate.pkl").read_bytes()
 
 
 # token counts (1, 5, 5): the noise CDF ends 2.2e-16 below 1
@@ -722,14 +820,18 @@ def test_model_save_load_roundtrip(tmp_path):
 
 
 def test_model_file_bytes(tmp_path):
-    # each value in 9 significant digits, as f"{x:.9g}" writes it
-    w_in = np.array([[0.1, -0.0, 1e-300], [123456789012.0, -2.5, 7.0]])
-    w_out = np.array([[1 / 3, 5e-324, -1e22], [0.0, 2.0**-40, 1e16]])
+    # each value in 9 significant digits, as f"{x:.9g}" writes it; float32
+    # values, the smallest subnormal and the largest finite one among them
+    f32 = np.finfo(np.float32)
+    w_in = np.array([[0.1, -0.0, f32.smallest_subnormal],
+                     [123456789012.0, -2.5, 7.0]], dtype=np.float32)
+    w_out = np.array([[1 / 3, f32.smallest_normal, -f32.max],
+                      [0.0, 2.0**-40, 1e16]], dtype=np.float32)
     save_model(EmbeddingModel(["a", "b"], w_in, w_out), tmp_path / "m.txt")
     for path, mat in ((tmp_path / "m.txt", w_in),
                       (tmp_path / "m.txt.out", w_out)):
         want = "2 3\n" + "".join(
-            tok + " " + " ".join(f"{x:.9g}" for x in row) + "\n"
+            tok + " " + " ".join(f"{x:.9g}" for x in row.tolist()) + "\n"
             for tok, row in zip("ab", mat))
         assert path.read_text() == want
 
@@ -765,6 +867,8 @@ def test_model_load_skips_whitespace_only_lines(tmp_path):
     ("", ":1: expected header '<N> <d>'"),
     ("\n \n2 x\na 1 2\nb 3 4\n", ":3: expected header '<N> <d>'"),
     ("2 2\na 1 2\nb nan 4\n", ":3: non-finite value"),
+    # finite as a double, inf as a float32
+    ("2 2\na 1 2\nb 4 -1e39\n", ":3: value out of float32 range"),
 ])
 def test_model_load_names_bad_line(tmp_path, text, message):
     (tmp_path / "m.txt").write_text(text)
@@ -780,10 +884,10 @@ model_tokens = st.text(st.characters(exclude_categories=("Z", "C")),
 
 
 def reference_load_matrix(path):
-    """One model file parsed line by line, one ``float()`` per value.  This
-    is the reference for ``_load_matrix``, which parses the value block in
-    one ``np.loadtxt`` call and must accept the same files, return the same
-    bits and raise the same errors."""
+    """One model file parsed line by line, one ``float()`` per value,
+    rounded to float32.  This is the reference for ``_load_matrix``, which
+    parses the value block in one ``np.loadtxt`` call and must accept the
+    same files, return the same bits and raise the same errors."""
     lines = text_lines(path)
     lineno, header = next(lines, (1, ""))
     try:
@@ -809,10 +913,14 @@ def reference_load_matrix(path):
         raise ValueError(
             f"{path}: header declares {n} rows, found {len(ids)}")
     mat = np.array(rows, dtype=np.float64).reshape(len(ids), d)
-    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}:{linenos[bad[0]]}: non-finite value")
-    return ids, mat
+    for lineno, row in zip(linenos, mat):
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}:{lineno}: non-finite value")
+        # float32's largest value is 2**128 - 2**104; from halfway to the
+        # next power of two on, a value rounds to inf
+        if (np.abs(row) >= 2.0 ** 128 - 2.0 ** 103).any():
+            raise ValueError(f"{path}:{lineno}: value out of float32 range")
+    return ids, mat.astype(np.float32)
 
 
 def read_both(path):
@@ -835,10 +943,10 @@ def assert_same_read(got, want):
         return
     assert not isinstance(got, str), got
     assert got[0] == want[0]
-    assert got[1].dtype == want[1].dtype == np.float64
+    assert got[1].dtype == want[1].dtype == np.float32
     assert got[1].shape == want[1].shape
     # bit for bit: -0.0 and 0.0 differ here
-    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+    assert np.array_equal(got[1].view(np.uint32), want[1].view(np.uint32))
 
 
 # Python's whitespace, every one of which str.split separates on
@@ -948,19 +1056,19 @@ def test_load_model_logs_path_shape_seconds(tmp_path, caplog):
 @given(st.lists(model_tokens, min_size=1, max_size=6, unique=True),
        st.integers(1, 4), st.data())
 def test_model_roundtrip_property(ids, dim, data):
-    values = st.floats(allow_nan=False, allow_infinity=False)
+    values = st.floats(width=32, allow_nan=False, allow_infinity=False)
     shape = (len(ids), dim)
     w_in, w_out = (np.array(data.draw(st.lists(values, min_size=shape[0] * dim,
                                                max_size=shape[0] * dim)),
-                            dtype=np.float64).reshape(shape)
+                            dtype=np.float32).reshape(shape)
                    for _ in range(2))
     with tempfile.TemporaryDirectory() as d:
         save_model(EmbeddingModel(ids, w_in, w_out), Path(d) / "m.txt")
         m = load_model(Path(d) / "m.txt")
     assert m.ids == ids
-    # the text format keeps 9 significant digits
-    np.testing.assert_allclose(m.w_in, w_in, rtol=1e-8, atol=0)
-    np.testing.assert_allclose(m.w_out, w_out, rtol=1e-8, atol=0)
+    # 9 significant digits read back as the same float32, -0.0 included
+    assert np.array_equal(m.w_in.view(np.uint32), w_in.view(np.uint32))
+    assert np.array_equal(m.w_out.view(np.uint32), w_out.view(np.uint32))
 
 
 def test_train_params_validation():

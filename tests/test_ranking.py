@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from .conftest import make_planted_graph
+
 from citerec.cli import build_parser
 from citerec.graph import CitationGraph, PaperIds
-from citerec.embedding import EmbeddingModel, forward
+from citerec.embedding import (EmbeddingModel, TrainParams, forward,
+                               init_model, load_model, save_model, train)
+from citerec.sampling import cocitation_corpus
 from citerec.ranking import (ALL_METHODS, EMBEDDING_METHODS, METHODS,
                              rank_scores, recommend, sim_avg, sim_ref, sim_wgd,
                              write_ranked_csv)
@@ -42,15 +46,15 @@ def test_sim_wgd_unit_degree_equals_sim_avg():
 
 
 def test_sim_wgd_degree_weighting_arithmetic():
-    # n0 has degree 1, n1 degree 4; both at cosine 0.8 to candidate n6
+    # n0 has degree 1, n1 degree 4; both at cosine 4/5 to candidate n6,
+    # from 3-4-5 vectors that a float32 model holds exactly
     edges = [("n0", "n5"),
              ("n1", "n5"), ("n1", "n6"), ("n1", "n7"), ("n1", "n8")]
     g = CitationGraph.from_edges(edges)
     vecs = np.zeros((g.n, 2))
     vecs[g.index_of("n6")] = [1.0, 0.0]
-    c, s = 0.8, 0.6
-    vecs[g.index_of("n0")] = [c, s]
-    vecs[g.index_of("n1")] = [c, -s]
+    vecs[g.index_of("n0")] = [4.0, 3.0]
+    vecs[g.index_of("n1")] = [4.0, -3.0]
     m = EmbeddingModel(g.ids, vecs, np.zeros_like(vecs))
     score = sim_wgd(m, g, m.seed_rows(["n0", "n1"]))[m.index_of("n6")]
     assert abs(score - (0.8 + 0.2) / 2) < 1e-12
@@ -147,16 +151,22 @@ def test_ranked_csv_format(tmp_path):
 # Reference scorers: one full cosine pass per seed, straight from the
 # definitions.  The cosine core must agree with them.
 
+def _w64(m: EmbeddingModel):
+    """The model's stored float32 input matrix, read as float64."""
+    return m.w_in.astype(np.float64)
+
+
 def _cosine_to_all(m: EmbeddingModel, vec):
     """Cosine of every input-matrix row against vec; zero vectors score 0."""
-    norms = np.linalg.norm(m.w_in, axis=1)
+    w = _w64(m)
+    norms = np.linalg.norm(w, axis=1)
     vnorm = np.linalg.norm(vec)
     if vnorm == 0:
         return np.zeros(m.n)
     denom = norms * vnorm
     out = np.zeros(m.n)
     nz = denom > 0
-    out[nz] = (m.w_in[nz] @ vec) / denom[nz]
+    out[nz] = (w[nz] @ vec) / denom[nz]
     return out
 
 
@@ -169,7 +179,7 @@ def reference_sim_avg(m, seeds):
     rows = _reference_rows(m, seeds)
     scores = np.zeros(m.n)
     for r in rows:
-        scores += _cosine_to_all(m, m.w_in[r])
+        scores += _cosine_to_all(m, _w64(m)[r])
     return scores / rows.size
 
 
@@ -180,13 +190,13 @@ def reference_sim_wgd(m, g, seeds):
         delta = g.degree(g.index_of(tok))
         if delta == 0:
             continue
-        scores += _cosine_to_all(m, m.w_in[r]) / delta
+        scores += _cosine_to_all(m, _w64(m)[r]) / delta
     return scores / rows.size
 
 
 def reference_sim_ref(m, seeds):
     rows = _reference_rows(m, seeds)
-    return _cosine_to_all(m, m.w_in[rows].mean(axis=0))
+    return _cosine_to_all(m, _w64(m)[rows].mean(axis=0))
 
 
 @st.composite
@@ -241,7 +251,8 @@ def test_cosine_core_matches_per_seed_reference(case):
 @settings(max_examples=100, deadline=None)
 @given(models_seeds_graphs(integral=False))
 def test_cosine_core_close_to_reference_on_real_vectors(case):
-    # real-valued products round in BLAS order, so only closeness holds
+    # real-valued products round in BLAS order, so only closeness holds;
+    # both read the model's stored float32 values as float64
     m, seeds, g = case
     for new, ref, _ in _scorer_pairs(m, seeds, g):
         np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
@@ -351,3 +362,19 @@ def test_rank_scores_matches_full_sort_reference(case):
     for k in ks:
         assert _bits(rank_scores(ids, scores, exclude, k)) == _bits(
             reference_rank_scores(ids, scores, exclude, k)), k
+
+
+@pytest.mark.parametrize("method", EMBEDDING_METHODS)
+def test_model_file_ranks_with_the_bits_of_the_model_in_memory(method,
+                                                              tmp_path):
+    # evaluate ranks a trained model in memory; recommend ranks its file
+    g, _ = make_planted_graph(targets=20, citers=15, refs=8, seed=5)
+    params = TrainParams(dim=8, window=5, epochs=2, mode="neg", seed=4)
+    m = train(init_model(g, params), cocitation_corpus(g, 3, seed=1), params)
+    save_model(m, tmp_path / "m.txt")
+    loaded = load_model(tmp_path / "m.txt")
+    seeds = [g.ids[i] for i in (0, 3, 7, 3)]
+    ranked = [_bits(recommend(method, seeds, g.n, model=model, graph=g))
+              for model in (m, loaded)]
+    assert len(ranked[0]) == g.n - 3
+    assert ranked[0] == ranked[1]
