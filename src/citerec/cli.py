@@ -16,8 +16,8 @@ from . import __version__
 from .graph import CitationGraph, load_graph, text_lines
 from .sampling import STRATEGIES, WalkCorpus, sample_corpus
 from .embedding import (TrainParams, TrainingError, init_model, train,
-                        save_model, load_model)
-from .ranking import ALL_METHODS, recommend, write_ranked_csv
+                        save_model, load_model, load_vectors)
+from .ranking import ALL_METHODS, METHODS, recommend, write_ranked_csv
 from .baselines import PageRankParams
 from .evaluation import ExperimentConfig, evaluate, write_report, write_queries
 
@@ -91,11 +91,29 @@ def cmd_train(args):
     return 0
 
 
+def recommend_inputs(method, model=None, graph=None, nodes=None):
+    """The ``recommend`` inputs that ``method`` reads, as keyword
+    arguments, loaded from the files given: the vectors of the model file
+    ``model`` for a method that needs only them, the whole model pair for
+    one that needs the model, and the graph ``graph`` for one that needs a
+    graph.  A file the method does not read is never opened; an input it
+    needs but was not given is left for ``recommend`` to name."""
+    needs = METHODS[method].needs
+    inputs = {}
+    if model:
+        if "model" in needs:
+            inputs["model"] = load_model(model)
+        elif "vectors" in needs:
+            inputs["model"] = load_vectors(model)
+    if graph and "graph" in needs:
+        inputs["graph"] = _load_any_graph(graph, nodes)
+    return inputs
+
+
 def cmd_recommend(args):
     seeds = [s for s in args.seeds.split(",") if s]
-    model = load_model(args.model) if args.model else None
-    graph = _load_any_graph(args.graph, args.nodes) if args.graph else None
-    ranked = recommend(args.method, seeds, args.k, model=model, graph=graph,
+    inputs = recommend_inputs(args.method, args.model, args.graph, args.nodes)
+    ranked = recommend(args.method, seeds, args.k, **inputs,
                        pr_params=PageRankParams(damping=args.damping))
     write_ranked_csv(args.output, ranked)
     print(f"recommend: method={args.method} |S|={len(set(seeds))} "

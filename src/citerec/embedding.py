@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -73,17 +74,17 @@ class TrainParams:
             raise ValueError("negatives must be >= 1")
 
 
-class EmbeddingModel(PaperIds):
-    """Input matrix (row v = embedding of paper v), output matrix (row i
-    produces the logit of paper i) and the paper-id vocabulary.  Both
-    matrices are float32, as word2vec keeps them; a finite value that
-    float32 cannot hold raises ValueError."""
+class PaperVectors(PaperIds):
+    """The paper-id vocabulary and the input matrix (row v = embedding of
+    paper v), the half of a model that the cosine rankers read.  The matrix
+    is float32, as word2vec keeps it; a finite value that float32 cannot
+    hold raises ValueError."""
 
-    def __init__(self, ids, w_in, w_out):
+    def __init__(self, ids, w_in):
         super().__init__(ids)
-        # contiguous, so that training can update the flat matrices in place
-        self.w_in, self.w_out = (_float32_matrix(w) for w in (w_in, w_out))
-        if self.w_in.shape != self.w_out.shape or self.w_in.shape[0] != len(self.ids):
+        # contiguous, so that training can update the flat matrix in place
+        self.w_in = _float32_matrix(w_in)
+        if self.w_in.ndim != 2 or self.w_in.shape[0] != len(self.ids):
             raise ValueError("matrix shapes disagree with vocabulary size")
 
     @property
@@ -93,6 +94,17 @@ class EmbeddingModel(PaperIds):
     @property
     def dim(self):
         return self.w_in.shape[1]
+
+
+class EmbeddingModel(PaperVectors):
+    """Input vectors plus the output matrix (row i produces the logit of
+    paper i), float32 like them: what training and CitMod read."""
+
+    def __init__(self, ids, w_in, w_out):
+        super().__init__(ids, w_in)
+        self.w_out = _float32_matrix(w_out)
+        if self.w_out.shape != self.w_in.shape:
+            raise ValueError("matrix shapes disagree with vocabulary size")
 
 
 def _float32_matrix(w):
@@ -486,14 +498,36 @@ def _parse_rows(path, body, n, d):
     return ids, mat32
 
 
+def load_vectors(path):
+    """The ids and input vectors of one model file, without its ``.out``
+    companion; logs its path, shape and seconds at INFO level."""
+    t0 = time.perf_counter()
+    v = PaperVectors(*_load_matrix(path))
+    log.info("vectors %s: %d rows x %d dims, %.3f s", path, v.n, v.dim,
+             time.perf_counter() - t0)
+    return v
+
+
 def load_model(path_in):
-    """The model pair written by ``save_model``; logs its path, shape and
-    seconds at INFO level."""
+    """The model pair written by ``save_model``: ``load_vectors``'s file and
+    its ``.out`` output matrix, whose ids and shape must match it; logs its
+    path, shape and seconds at INFO level."""
     t0 = time.perf_counter()
     ids, w_in = _load_matrix(path_in)
-    ids_out, w_out = _load_matrix(f"{path_in}.out")
-    if ids != ids_out:
-        raise ValueError("input/output matrix files disagree on vocabulary")
+    path_out = f"{path_in}.out"
+    ids_out, w_out = _load_matrix(path_out)
+    if w_out.shape != w_in.shape:
+        raise ValueError(f"{path_out}: {w_out.shape[0]} x {w_out.shape[1]} "
+                         f"matrix, {path_in} is {w_in.shape[0]} x "
+                         f"{w_in.shape[1]}")
+    if ids_out != ids:
+        i = next(i for i, (a, b) in enumerate(zip(ids, ids_out)) if a != b)
+        # row i's (line number, line), read again only on this error path;
+        # the header is the first line text_lines yields
+        row = next(islice(text_lines(path_out), i + 1, None), None)
+        where = f"{path_out}:{row[0]}" if row else path_out
+        raise ValueError(f"{where}: paper id {ids_out[i]!r}, {path_in} has "
+                         f"{ids[i]!r}")
     m = EmbeddingModel(ids, w_in, w_out)
     log.info("model %s: %d rows x %d dims, %.3f s", path_in, m.n, m.dim,
              time.perf_counter() - t0)

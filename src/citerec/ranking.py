@@ -3,7 +3,9 @@
 Three embedding-based schemes (cosine against seeds, degree-weighted
 cosine, cosine against the mean seed vector) and one model-based scheme
 that runs the trained predictor with the seeds as context.  ``METHODS``
-registers them with the baselines under the names every caller uses.
+registers them with the baselines under the names every caller uses, with
+the inputs each one reads: the cosine schemes read the input vectors alone,
+CitMod the whole model.
 ``recommend`` turns the seed list into rows once, through ``seed_rows``, so
 every method reads its seeds as a set: a repeated seed counts once.  The
 scorers and ``rank_scores`` take those rows.
@@ -20,8 +22,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .baselines import cf_scores, paperrank
-from .embedding import EmbeddingModel, forward
-from .graph import CitationGraph
+from .embedding import EmbeddingModel, PaperVectors, forward
+from .graph import CitationGraph, GraphError
 
 
 def _cosines(w, refs):
@@ -35,14 +37,14 @@ def _cosines(w, refs):
     return out.T
 
 
-def sim_avg(m: EmbeddingModel, rows):
+def sim_avg(m: PaperVectors, rows):
     """Mean cosine similarity to the vectors of the seed rows ``rows``, for
     every candidate."""
     w = m.w_in.astype(np.float64)
     return _cosines(w, w[rows]).mean(axis=1)
 
 
-def sim_wgd(m: EmbeddingModel, g: CitationGraph, rows):
+def sim_wgd(m: PaperVectors, g: CitationGraph, rows):
     """Like sim_avg but each seed weighted by 1/degree in the training
     graph; isolated seeds contribute nothing.  Dividing by the degree, not
     multiplying by its inverse, rounds as a per-seed sum of cos/degree."""
@@ -53,7 +55,7 @@ def sim_wgd(m: EmbeddingModel, g: CitationGraph, rows):
     return (cos / delta[live]).sum(axis=1) / rows.size
 
 
-def sim_ref(m: EmbeddingModel, rows):
+def sim_ref(m: PaperVectors, rows):
     """Cosine similarity to the mean vector of the seed rows ``rows``."""
     w = m.w_in.astype(np.float64)
     return _cosines(w, w[rows].mean(axis=0, keepdims=True))[:, 0]
@@ -75,20 +77,25 @@ def rank_scores(ids, scores, exclude_rows, k):
     return list(zip([ids[i] for i in order.tolist()], scores[order].tolist()))
 
 
-_INPUTS = {"model": "an embedding model", "graph": "a graph", "rng": "an RNG"}
+# "vectors" is a model's input vectors (``PaperVectors``), "model" the whole
+# ``EmbeddingModel``, which holds them too; recommend() takes either as its
+# ``model`` and names the first need it lacks
+_INPUTS = {"vectors": "embedding vectors", "model": "an embedding model",
+           "graph": "a graph", "rng": "an RNG"}
 
 
 class Method(NamedTuple):
-    needs: tuple       # the recommend() inputs it uses, keys of _INPUTS
+    needs: tuple       # the recommend() inputs it reads, keys of _INPUTS
     score: Callable    # score(model, graph, rows, pr_params, rng) -> scores
 
 
 METHODS = {
-    "simavg": Method(("model",), lambda m, g, r, pr, rng: sim_avg(m, r)),
-    "simwgd": Method(("model", "graph"),
+    "simavg": Method(("vectors",), lambda m, g, r, pr, rng: sim_avg(m, r)),
+    "simwgd": Method(("vectors", "graph"),
                      lambda m, g, r, pr, rng: sim_wgd(m, g, r)),
-    "simref": Method(("model",), lambda m, g, r, pr, rng: sim_ref(m, r)),
-    "citmod": Method(("model",), lambda m, g, r, pr, rng: forward(m, r)),
+    "simref": Method(("vectors",), lambda m, g, r, pr, rng: sim_ref(m, r)),
+    "citmod": Method(("model", "vectors"),
+                     lambda m, g, r, pr, rng: forward(m, r)),
     "paperrank": Method(("graph",),
                         lambda m, g, r, pr, rng: paperrank(g, r, pr)),
     "cf": Method(("graph",), lambda m, g, r, pr, rng: cf_scores(g, r)),
@@ -97,35 +104,45 @@ METHODS = {
                      rng.permutation(g.n).astype(np.float64)),
 }
 EMBEDDING_METHODS = tuple(
-    name for name, meth in METHODS.items() if "model" in meth.needs)
+    name for name, meth in METHODS.items() if "vectors" in meth.needs)
 # the paper's six methods: all but the random control, the one RNG user
 ALL_METHODS = tuple(
     name for name, meth in METHODS.items() if "rng" not in meth.needs)
 
 
-def recommend(method, seeds, k, model: EmbeddingModel = None,
+def recommend(method, seeds, k, model: PaperVectors = None,
               graph: CitationGraph = None, pr_params=None, rng=None):
     """Ranked (paper_id, score) list for one method of ``METHODS``, over
-    the model's papers if it needs a model, else the graph's.  That index
-    turns the seed list into rows once; the scorer and the ranking share
-    them.  Seeds are always excluded from the output."""
+    the model's papers if it is an embedding method, else the graph's.
+    ``model`` is a ``PaperVectors`` or an ``EmbeddingModel``; a method that
+    needs the whole model rejects bare vectors.  The index turns the seed
+    list into rows once; the scorer and the ranking share them.  Seeds are
+    always excluded from the output."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if method not in METHODS:
         raise ValueError(f"unknown ranking method: {method!r}")
     meth = METHODS[method]
-    given = {"model": model, "graph": graph, "rng": rng}
+    given = {"vectors": model, "graph": graph, "rng": rng,
+             "model": model if isinstance(model, EmbeddingModel) else None}
     for need in meth.needs:
         if given[need] is None:
             raise ValueError(f"method {method!r} requires {_INPUTS[need]}")
-    index = model if "model" in meth.needs else graph
+    index = model if "vectors" in meth.needs else graph
     rows = index.seed_rows(seeds)
     scores = meth.score(model, graph, rows, pr_params, rng)
     return rank_scores(index.ids, scores, rows, k)
 
 
 def write_ranked_csv(path, ranked):
-    """CSV ``rank,paper_id,score`` with 6-decimal scores."""
+    """CSV ``rank,paper_id,score`` with 6-decimal scores.  An id holding
+    ',' or a line break, which would not read back as one field, raises
+    GraphError before anything is written."""
+    for tok, _ in ranked:
+        for c in ",\n\r":
+            if c in tok:
+                raise GraphError(f"paper id {tok!r} holds {c!r} and cannot "
+                                 "be written to a ranked CSV")
     with open(path, "w", encoding="utf-8") as f:
         f.write("rank,paper_id,score\n")
         for rank, (tok, score) in enumerate(ranked, 1):

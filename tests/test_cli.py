@@ -359,6 +359,69 @@ def test_recommend_prints_seed_set_size(dataset, capsys):
         f"recommend: method=cf |S|=3 top-5 -> {d / 'cf.csv'}\n")
 
 
+def train_small_model(dataset):
+    g, edges, nodes, d = dataset
+    for argv in (["ingest", "--edges", edges, "--output", d / "g.npz"],
+                 ["sample", "--graph", d / "g.npz", "--strategy", "cocit",
+                  "--n", "1", "--output", d / "corpus.txt"],
+                 ["train", "--graph", d / "g.npz", "--corpus",
+                  d / "corpus.txt", "--dim", "4", "--epochs", "1",
+                  "--output", d / "model.txt"]):
+        assert main([str(a) for a in argv]) == 0
+    return g, d
+
+
+def test_cosine_methods_read_no_output_matrix(dataset, capsys):
+    g, d = train_small_model(dataset)
+
+    def run(method, out):
+        return main(["recommend", "--method", method,
+                     "--seeds", ",".join(g.ids[:3]), "--k", "10",
+                     "--model", str(d / "model.txt"),
+                     "--graph", str(d / "g.npz"), "--output", str(out)])
+
+    cosine = ("simavg", "simwgd", "simref")
+    for method in cosine:
+        assert run(method, d / f"{method}-pair.csv") == 0
+    (d / "model.txt.out").unlink()
+    for method in cosine:
+        assert run(method, d / f"{method}.csv") == 0
+        assert (d / f"{method}.csv").read_bytes() == (
+            d / f"{method}-pair.csv").read_bytes()
+    capsys.readouterr()
+    assert run("citmod", d / "citmod.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(d / "model.txt.out") in err
+    assert not (d / "citmod.csv").exists()
+
+
+@pytest.mark.parametrize("method,flag", [("cf", "--model"),
+                                         ("simavg", "--graph")])
+def test_recommend_opens_no_file_its_method_does_not_read(dataset, method,
+                                                          flag):
+    g, d = train_small_model(dataset)
+    argv = ["recommend", "--method", method, "--seeds", g.ids[0], "--k", "5"]
+    argv += {"cf": ["--graph", str(d / "g.npz")],
+             "simavg": ["--model", str(d / "model.txt")]}[method]
+    assert main(argv + ["--output", str(d / "want.csv")]) == 0
+    assert main(argv + [flag, str(d / "missing"),
+                        "--output", str(d / "got.csv")]) == 0
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+def test_recommend_rejects_id_that_breaks_a_csv_row(tmp_path, capsys):
+    ingest_edges(tmp_path, [("a,b", "c"), ("d", "c"), ("d", "a,b")])
+    capsys.readouterr()
+    assert main(["recommend", "--method", "cf", "--seeds", "c",
+                 "--graph", str(tmp_path / "g.npz"),
+                 "--output", str(tmp_path / "rec.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: paper id 'a,b' holds ',' and cannot be written to a ranked "
+        "CSV\n")
+    assert not (tmp_path / "rec.csv").exists()
+
+
 def test_evaluate_and_plotdata(dataset):
     g, edges, nodes, d = dataset
     main(["ingest", "--edges", str(edges), "--nodes", str(nodes),

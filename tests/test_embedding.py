@@ -869,13 +869,23 @@ def test_model_load_skips_whitespace_only_lines(tmp_path):
     ("2 2\na 1 2\nb nan 4\n", ":3: non-finite value"),
     # finite as a double, inf as a float32
     ("2 2\na 1 2\nb 4 -1e39\n", ":3: value out of float32 range"),
+    # a pair of texts for m.txt and m.txt.out: the two files disagree
+    (("2 2\na 1 2\nb 3 4\n", "2 3\na 0 0 0\nb 0 0 0\n"),
+     ".out: 2 x 3 matrix, {m} is 2 x 2"),
+    (("2 2\na 1 2\nb 3 4\n", "1 2\na 0 0\n"),
+     ".out: 1 x 2 matrix, {m} is 2 x 2"),
+    (("2 2\na 1 2\nb 3 4\n", "2 2\na 0 0\n\nc 0 0\n"),
+     ".out:4: paper id 'c', {m} has 'b'"),
 ])
 def test_model_load_names_bad_line(tmp_path, text, message):
-    (tmp_path / "m.txt").write_text(text)
-    (tmp_path / "m.txt.out").write_text("2 2\na 0 0\nb 0 0\n")
+    m = tmp_path / "m.txt"
+    text, out = (text if isinstance(text, tuple)
+                 else (text, "2 2\na 0 0\nb 0 0\n"))
+    m.write_text(text)
+    (tmp_path / "m.txt.out").write_text(out)
     with pytest.raises(ValueError) as err:
-        load_model(tmp_path / "m.txt")
-    assert str(err.value) == f"{tmp_path / 'm.txt'}{message}"
+        load_model(m)
+    assert str(err.value) == f"{m}{message.format(m=m)}"
 
 
 # model ids are whitespace-separated tokens

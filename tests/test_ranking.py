@@ -4,10 +4,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from .conftest import make_planted_graph
 
-from citerec.cli import build_parser
+from citerec.cli import build_parser, recommend_inputs
 from citerec.graph import CitationGraph, PaperIds
-from citerec.embedding import (EmbeddingModel, TrainParams, forward,
-                               init_model, load_model, save_model, train)
+from citerec.embedding import (EmbeddingModel, PaperVectors, TrainParams,
+                               forward, init_model, load_model, save_model,
+                               train)
 from citerec.sampling import cocitation_corpus
 from citerec.ranking import (ALL_METHODS, EMBEDDING_METHODS, METHODS,
                              rank_scores, recommend, sim_avg, sim_ref, sim_wgd,
@@ -273,6 +274,15 @@ def test_registry_runs_every_method_and_feeds_the_cli():
         recommend("random", ["n0"], 5, graph=g)
     with pytest.raises(ValueError, match="requires a graph"):
         recommend("simwgd", ["n0"], 5, model=m)
+    # the cosine methods read the input vectors alone; CitMod needs w_out
+    vectors = PaperVectors(m.ids, m.w_in)
+    for method in ("simavg", "simref"):
+        assert recommend(method, ["n0"], 5, model=vectors) == recommend(
+            method, ["n0"], 5, model=m)
+    for model in (vectors, None):
+        with pytest.raises(ValueError, match="^method 'citmod' requires an "
+                                             "embedding model$"):
+            recommend("citmod", ["n0"], 5, model=model)
 
     sub = build_parser()._subparsers._group_actions[0].choices
     method_arg, = [a for a in sub["recommend"]._actions if a.dest == "method"]
@@ -367,14 +377,18 @@ def test_rank_scores_matches_full_sort_reference(case):
 @pytest.mark.parametrize("method", EMBEDDING_METHODS)
 def test_model_file_ranks_with_the_bits_of_the_model_in_memory(method,
                                                               tmp_path):
-    # evaluate ranks a trained model in memory; recommend ranks its file
+    # evaluate ranks a trained model in memory; recommend ranks its file,
+    # read as the command line reads it for that method
     g, _ = make_planted_graph(targets=20, citers=15, refs=8, seed=5)
     params = TrainParams(dim=8, window=5, epochs=2, mode="neg", seed=4)
     m = train(init_model(g, params), cocitation_corpus(g, 3, seed=1), params)
     save_model(m, tmp_path / "m.txt")
     loaded = load_model(tmp_path / "m.txt")
+    read = recommend_inputs(method, tmp_path / "m.txt")["model"]
+    assert isinstance(read, EmbeddingModel) == (
+        "model" in METHODS[method].needs)
     seeds = [g.ids[i] for i in (0, 3, 7, 3)]
     ranked = [_bits(recommend(method, seeds, g.n, model=model, graph=g))
-              for model in (m, loaded)]
+              for model in (m, loaded, read)]
     assert len(ranked[0]) == g.n - 3
-    assert ranked[0] == ranked[1]
+    assert ranked[0] == ranked[1] == ranked[2]
