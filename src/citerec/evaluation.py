@@ -12,14 +12,16 @@ import math
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import PageRankParams
 from .embedding import TrainParams, init_model, train
 from .graph import CitationGraph, GraphError, YEAR_UNKNOWN, text_lines
-from .ranking import ALL_METHODS, EMBEDDING_METHODS, METHODS, recommend
+from .ranking import (ALL_METHODS, EMBEDDING_METHODS, METHODS, recommend,
+                      unit_rows)
 from .sampling import sample_corpus
 
 log = logging.getLogger(__name__)
@@ -153,15 +155,27 @@ def build_queries(g: CitationGraph, cfg: ExperimentConfig, ratio, rng=None):
     return queries
 
 
-def recall_at_k(ranked, hidden, k):
-    """Fraction of hidden papers appearing in the top k of ``ranked``."""
-    if k < 1:
+def recalls_at_k(ranked, hidden, ks):
+    """Fraction of hidden papers appearing in the top k of ``ranked``, for
+    each k of ``ks``, in order, from one pass over the first max(ks)
+    entries."""
+    if min(ks) < 1:
         raise ValueError("k must be >= 1")
     hidden = set(hidden)
     if not hidden:
         raise ValueError("hidden set must be non-empty")
-    top = {tok for tok, _ in ranked[:k]}
-    return len(top & hidden) / len(hidden)
+    found = set()
+    hits = [0]      # hits[i]: hidden papers among the first i entries
+    for tok, _ in ranked[:max(ks)]:
+        if tok in hidden:
+            found.add(tok)
+        hits.append(len(found))
+    return [hits[min(k, len(hits) - 1)] / len(hidden) for k in ks]
+
+
+def recall_at_k(ranked, hidden, k):
+    """Fraction of hidden papers appearing in the top k of ``ranked``."""
+    return recalls_at_k(ranked, hidden, (k,))[0]
 
 
 def check_no_time_leakage(models_or_graphs, full_graph: CitationGraph, queries):
@@ -193,9 +207,16 @@ def _usable_cpus():
 def _rank_by_year(cfg: ExperimentConfig, queries_by_ratio, serve):
     """:func:`run_experiment`'s ranking, one serving year at a time: year
     y-1's queries rank on the (slice, model) pair ``serve(y-1, queries)``
-    returns, which is dropped before the next year is served."""
+    returns, which is dropped before the next year is served.
+
+    A record reads only which candidates make each top-k, so PaperRank
+    stops once its k cuts are proven (``PageRankParams.certify``), and the
+    cosine methods share one ``unit_rows`` per served model; either is
+    prepared only when a configured method reads it."""
     t0 = time.perf_counter()
     max_k = max(cfg.k_values)
+    certified = PageRankParams(certify=cfg.k_values)
+    reads_unit = any("unit" in METHODS[m].needs for m in cfg.methods)
     by_year = {}    # serving year -> [(ratio, index in its ratio's list, query)]
     for ratio, queries in sorted(queries_by_ratio.items()):
         for qi, q in enumerate(queries):
@@ -218,10 +239,17 @@ def _rank_by_year(cfg: ExperimentConfig, queries_by_ratio, serve):
                     tasks.append((ratio, qi, q, seeds))
             skipped += len(entries) - len(tasks)
             # Each solve is independent and deterministic, so taking the
-            # lists in submission order gives the serial loop's records.
+            # lists in submission order gives the serial loop's records,
+            # and raises the serial loop's first error.  The pool has one
+            # worker per CPU, so the other methods wait for the year's
+            # solves: ranking them alongside would make one more runnable
+            # thread than CPUs, time-sliced against the solves.
             pooled = [pool.submit(recommend, POOLED_METHOD, seeds, max_k,
-                                  graph=sl)
+                                  graph=sl, pr_params=certified)
                       for _, _, _, seeds in tasks] if workers else None
+            if pooled:
+                wait(pooled)
+            unit = unit_rows(model) if reads_unit and tasks else None
             for ti, (ratio, qi, q, seeds) in enumerate(tasks):
                 recs = by_query[ratio, qi] = []
                 for method in cfg.methods:
@@ -231,13 +259,14 @@ def _rank_by_year(cfg: ExperimentConfig, queries_by_ratio, serve):
                         rng = (np.random.default_rng([cfg.seed, 0x72616E64, qi])
                                if "rng" in METHODS[method].needs else None)
                         ranked = recommend(method, seeds, max_k, model=model,
-                                           graph=sl, rng=rng)
+                                           graph=sl, rng=rng, unit=unit)
                     rec = {"method": method, "hidden_ratio": ratio,
                            "query_id": q.query_id, "year": q.year}
-                    for k in cfg.k_values:
-                        rec[f"recall@{k}"] = recall_at_k(ranked, q.hidden, k)
+                    for k, recall in zip(cfg.k_values, recalls_at_k(
+                            ranked, q.hidden, cfg.k_values)):
+                        rec[f"recall@{k}"] = recall
                     recs.append(rec)
-            sl = model = pooled = None     # not alive while serve runs
+            sl = model = unit = pooled = None  # not alive while serve runs
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     if skipped:
@@ -272,9 +301,10 @@ def run_experiment(g: CitationGraph, cfg: ExperimentConfig, graphs, models,
     (method, hidden_ratio, k).
 
     Every query's PaperRank is solved on a pool of worker threads, one per
-    usable CPU, while the other methods rank inline; records and aggregates
-    are those of the serial loop.  Logs the queries ranked and skipped, the
-    methods, the worker count and the seconds at INFO level.
+    usable CPU; the other methods rank inline once a serving year's solves
+    are done.  Records and aggregates are those of the serial loop.  Logs
+    the queries ranked and skipped, the methods, the worker count and the
+    seconds at INFO level.
     """
     if queries_by_ratio is None:
         queries_by_ratio = {

@@ -105,6 +105,12 @@ class PaperIds:
         except KeyError:
             raise GraphError(f"unknown paper id: {token!r}") from None
 
+    def rows_of(self, tokens):
+        """The row of each id in ``tokens``, in order, as int64; -1 for an
+        id not held here."""
+        get = self._rows.get
+        return np.array([get(t, -1) for t in tokens], np.int64)
+
     def seed_rows(self, seeds):
         """The rows of the seed set ``seeds``, ascending, unique, int64."""
         rows = np.array(sorted({self.index_of(s) for s in seeds}), np.int64)

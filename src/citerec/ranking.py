@@ -10,9 +10,13 @@ CitMod the whole model.
 every method reads its seeds as a set: a repeated seed counts once.  The
 scorers and ``rank_scores`` take those rows.
 
-A model stores float32 matrices.  The cosine schemes read them as float64,
-so a cosine is exact wherever its inputs' products are.  CitMod takes its
-logits as one float32 product and its softmax in float64 (``forward``).
+A model stores float32 matrices.  The cosine schemes read them as the
+float64 unit rows ``unit_rows`` returns, and each scores every candidate by
+one product of those rows with a reference vector (word2vec's
+``distance.c`` normalizes its vectors once and ranks by dot product the
+same way).  A caller that ranks many seed sets on one model computes the
+unit rows once and passes them to ``recommend``.  CitMod takes its logits
+as one float32 product and its softmax in float64 (``forward``).
 """
 
 from __future__ import annotations
@@ -26,39 +30,55 @@ from .embedding import EmbeddingModel, PaperVectors, forward
 from .graph import CitationGraph, GraphError
 
 
-def _cosines(w, refs):
-    """Cosine of every row of the float64 input matrix ``w`` against each
-    row of ``refs``, as an N x k array; zero vectors score 0.  Built k x N
-    and returned transposed, so that a sum over the columns adds them in
-    ``refs`` order."""
-    denom = np.outer(np.linalg.norm(refs, axis=1), np.linalg.norm(w, axis=1))
-    out = np.zeros(denom.shape)
-    np.divide(refs @ w.T, denom, out=out, where=denom > 0)
-    return out.T
+def unit_rows(m: PaperVectors):
+    """The float64 unit rows ``û = w / |w|`` of the input matrix; a zero row
+    stays zero.  Every cosine scheme is one product over them."""
+    u = m.w_in.astype(np.float64)
+    norms = np.linalg.norm(u, axis=1)[:, None]
+    return np.divide(u, norms, out=u, where=norms > 0)
 
 
-def sim_avg(m: PaperVectors, rows):
+def _cosine_to(u, ref):
+    """``û · ref`` for every row of the unit rows ``u``.  einsum's sum does
+    not depend on the BLAS thread count, as a float64 matrix-vector ``@``
+    does at this size."""
+    return np.einsum("ij,j->i", u, ref)
+
+
+def sim_avg(m: PaperVectors, rows, unit=None):
     """Mean cosine similarity to the vectors of the seed rows ``rows``, for
-    every candidate."""
-    w = m.w_in.astype(np.float64)
-    return _cosines(w, w[rows]).mean(axis=1)
+    every candidate: ``û · mean_s û_s``.  ``unit`` is ``unit_rows(m)``,
+    computed here when not given."""
+    u = unit_rows(m) if unit is None else unit
+    return _cosine_to(u, u[rows].mean(axis=0))
 
 
-def sim_wgd(m: PaperVectors, g: CitationGraph, rows):
+def sim_wgd(m: PaperVectors, g: CitationGraph, rows, unit=None):
     """Like sim_avg but each seed weighted by 1/degree in the training
-    graph; isolated seeds contribute nothing.  Dividing by the degree, not
-    multiplying by its inverse, rounds as a per-seed sum of cos/degree."""
-    delta = np.array([g.degree(g.index_of(m.ids[r])) for r in rows])
+    graph: ``û · Σ_s (û_s / δ_s) / |S|``; isolated seeds contribute nothing
+    and still count in ``|S|``.  A seed of the model that the graph lacks
+    raises GraphError naming it."""
+    u = unit_rows(m) if unit is None else unit
+    at = g.rows_of([m.ids[r] for r in rows.tolist()])
+    if (at < 0).any():
+        tok = m.ids[rows[np.argmax(at < 0)]]
+        raise GraphError(f"paper id {tok!r} is in the model but not in the "
+                         "graph")
+    delta = g.adj_indptr[at + 1] - g.adj_indptr[at]
     live = delta > 0
-    w = m.w_in.astype(np.float64)
-    cos = _cosines(w, w[rows[live]])
-    return (cos / delta[live]).sum(axis=1) / rows.size
+    ref = (u[rows[live]] / delta[live][:, None]).sum(axis=0) / rows.size
+    return _cosine_to(u, ref)
 
 
-def sim_ref(m: PaperVectors, rows):
-    """Cosine similarity to the mean vector of the seed rows ``rows``."""
-    w = m.w_in.astype(np.float64)
-    return _cosines(w, w[rows].mean(axis=0, keepdims=True))[:, 0]
+def sim_ref(m: PaperVectors, rows, unit=None):
+    """Cosine similarity to the mean vector ``m`` of the seed rows
+    ``rows``: ``û · m / |m|``, and 0 everywhere when ``m`` is zero."""
+    u = unit_rows(m) if unit is None else unit
+    mean = m.w_in[rows].astype(np.float64).mean(axis=0)
+    norm = np.linalg.norm(mean)
+    if norm == 0:
+        return np.zeros(m.n)
+    return _cosine_to(u, mean / norm)
 
 
 def rank_scores(ids, scores, exclude_rows, k):
@@ -79,21 +99,26 @@ def rank_scores(ids, scores, exclude_rows, k):
 
 # "vectors" is a model's input vectors (``PaperVectors``), "model" the whole
 # ``EmbeddingModel``, which holds them too; recommend() takes either as its
-# ``model`` and names the first need it lacks
+# ``model`` and names the first need it lacks.  "unit" is the vectors'
+# ``unit_rows``, which recommend() takes as ``unit`` or computes from them.
 _INPUTS = {"vectors": "embedding vectors", "model": "an embedding model",
-           "graph": "a graph", "rng": "an RNG"}
+           "graph": "a graph", "rng": "an RNG", "unit": "embedding vectors"}
 
 
 class Method(NamedTuple):
     needs: tuple       # the recommend() inputs it reads, keys of _INPUTS
-    score: Callable    # score(model, graph, rows, pr_params, rng) -> scores
+    # score(model, graph, rows, pr_params, rng) -> scores; a method that
+    # needs "unit" also takes unit=
+    score: Callable
 
 
 METHODS = {
-    "simavg": Method(("vectors",), lambda m, g, r, pr, rng: sim_avg(m, r)),
-    "simwgd": Method(("vectors", "graph"),
-                     lambda m, g, r, pr, rng: sim_wgd(m, g, r)),
-    "simref": Method(("vectors",), lambda m, g, r, pr, rng: sim_ref(m, r)),
+    "simavg": Method(("vectors", "unit"),
+                     lambda m, g, r, pr, rng, unit: sim_avg(m, r, unit)),
+    "simwgd": Method(("vectors", "unit", "graph"),
+                     lambda m, g, r, pr, rng, unit: sim_wgd(m, g, r, unit)),
+    "simref": Method(("vectors", "unit"),
+                     lambda m, g, r, pr, rng, unit: sim_ref(m, r, unit)),
     "citmod": Method(("model", "vectors"),
                      lambda m, g, r, pr, rng: forward(m, r)),
     "paperrank": Method(("graph",),
@@ -111,26 +136,33 @@ ALL_METHODS = tuple(
 
 
 def recommend(method, seeds, k, model: PaperVectors = None,
-              graph: CitationGraph = None, pr_params=None, rng=None):
+              graph: CitationGraph = None, pr_params=None, rng=None,
+              unit=None):
     """Ranked (paper_id, score) list for one method of ``METHODS``, over
     the model's papers if it is an embedding method, else the graph's.
     ``model`` is a ``PaperVectors`` or an ``EmbeddingModel``; a method that
-    needs the whole model rejects bare vectors.  The index turns the seed
-    list into rows once; the scorer and the ranking share them.  Seeds are
-    always excluded from the output."""
+    needs the whole model rejects bare vectors.  ``unit``, if given, is
+    ``unit_rows(model)``; a cosine method computes it when it is not, with
+    the same bits.  The index turns the seed list into rows once; the scorer
+    and the ranking share them.  Seeds are always excluded from the
+    output."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if method not in METHODS:
         raise ValueError(f"unknown ranking method: {method!r}")
     meth = METHODS[method]
-    given = {"vectors": model, "graph": graph, "rng": rng,
+    given = {"vectors": model, "unit": model, "graph": graph, "rng": rng,
              "model": model if isinstance(model, EmbeddingModel) else None}
     for need in meth.needs:
         if given[need] is None:
             raise ValueError(f"method {method!r} requires {_INPUTS[need]}")
     index = model if "vectors" in meth.needs else graph
     rows = index.seed_rows(seeds)
-    scores = meth.score(model, graph, rows, pr_params, rng)
+    if "unit" in meth.needs:
+        scores = meth.score(model, graph, rows, pr_params, rng,
+                            unit=unit_rows(model) if unit is None else unit)
+    else:
+        scores = meth.score(model, graph, rows, pr_params, rng)
     return rank_scores(index.ids, scores, rows, k)
 
 

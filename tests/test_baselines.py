@@ -247,6 +247,114 @@ def test_paperrank_empty_seeds_errors():
         paperrank(g, g.seed_rows([]))
 
 
+class _Lines(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+def logged_run(g, rows, cuts=()):
+    """paperrank's scores with ``cuts`` to certify, and its DEBUG lines;
+    a handler of its own, so that hypothesis may call it."""
+    logger, handler = logging.getLogger("citerec.baselines"), _Lines()
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        scores = paperrank(g, rows, PageRankParams(certify=cuts))
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return scores, handler.lines
+
+
+def top_set(g, scores, rows, k):
+    return {tok for tok, _ in rank_scores(g.ids, scores, rows, k)}
+
+
+@st.composite
+def graphs_seeds_cuts(draw):
+    """Sparse random graphs large enough that CG runs past the first
+    certification check, with 1-4 seeds and 1-3 cuts."""
+    n = draw(st.integers(20, 60))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+                          min_size=n // 2, max_size=2 * n))
+    seeds = draw(st.lists(node, min_size=1, max_size=4, unique=True))
+    cuts = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+    return index_graph(n, pairs), [f"v{i}" for i in seeds], tuple(cuts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_seeds_cuts())
+def test_certified_cuts_match_the_dense_oracle(case):
+    g, seeds, cuts = case
+    rows = g.seed_rows(seeds)
+    scores, lines = logged_run(g, rows, cuts)
+    full = paperrank(g, rows)
+    proofs = [line for line in lines if " proven at iteration " in line]
+    if not proofs:
+        # no proof, or no solve: the uncertified run, bit for bit
+        assert np.array_equal(scores, full)
+        return
+    it = int(proofs[0].rsplit(" ", 1)[1])
+    assert it >= 8 and it % 2 == 0
+    exact = exact_paperrank(g, seeds, PageRankParams())
+    for k in cuts:
+        assert top_set(g, scores, rows, k) == top_set(g, exact, rows, k)
+
+
+def test_certified_stop_comes_before_the_full_solve():
+    rng = np.random.default_rng(4)
+    n = 400
+    pairs = {(int(u), int(w)) for u, w in rng.integers(0, n, size=(3 * n, 2))
+             if u != w}
+    g = index_graph(n, sorted(pairs))
+    rows = g.seed_rows(["v3", "v50", "v77"])
+    _, (full_line,) = logged_run(g, rows)
+    scores, (line, cut_line) = logged_run(g, rows, (10, 50))
+    full_iters = int(full_line.removeprefix("paperrank: ").split()[0])
+    iters = int(line.removeprefix("paperrank: ").split()[0])
+    assert cut_line == f"paperrank: cuts 10,50 proven at iteration {iters}"
+    assert 8 <= iters < full_iters
+    exact = exact_paperrank(g, [g.ids[r] for r in rows], PageRankParams())
+    for k in (10, 50):
+        assert top_set(g, scores, rows, k) == top_set(g, exact, rows, k)
+
+
+def test_certified_tie_at_a_cut_runs_the_full_solve():
+    # twin leaves a and b cite only the same hub, so every iterate scores
+    # them alike; a cut between them can never be proven
+    rng = np.random.default_rng(2)
+    n = 60
+    a, b, hub = 7, 31, 12
+    others = [i for i in range(n) if i not in (a, b)]
+    pairs = {(int(u), int(w)) for u, w in rng.choice(others, size=(2 * n, 2))
+             if u != w}
+    g = index_graph(n, sorted(pairs) + [(a, hub), (b, hub)])
+    seeds = ["v3", "v40", "v55"]
+    rows = g.seed_rows(seeds)
+    full, full_lines = logged_run(g, rows)
+    order = [t for t, _ in rank_scores(g.ids, full, rows, g.n)]
+    k = order.index(f"v{a}") + 1      # a is in the top k, b just outside
+    assert order[k] == f"v{b}"
+    scores, lines = logged_run(g, rows, (k,))
+    assert lines == full_lines + [f"paperrank: cuts {k} not proven"]
+    assert np.array_equal(scores, full)
+    assert (rank_scores(g.ids, scores, rows, g.n)
+            == rank_scores(g.ids, full, rows, g.n))
+    # the cuts just above and below the twins are proven early
+    full_iters = int(full_lines[0].removeprefix("paperrank: ").split()[0])
+    for other in (k - 1, k + 1):
+        _, (line, cut_line) = logged_run(g, rows, (other,))
+        iters = int(line.removeprefix("paperrank: ").split()[0])
+        assert iters < full_iters
+        assert cut_line == f"paperrank: cuts {other} proven at iteration {iters}"
+
+
 def cf_bruteforce_oracle(g, seeds):
     """Materialize the full citing-by-cited incidence and use cosine."""
     n = g.n
@@ -366,3 +474,9 @@ def test_pagerank_params_validation():
         PageRankParams(tol=float("nan"))
     with pytest.raises(ValueError):
         PageRankParams(max_iter=0)
+    for cuts in [(0,), (10, -1), (2.5,), ("10",), (True,), (None,)]:
+        with pytest.raises(ValueError, match="certify cuts must be positive "
+                                             "ints"):
+            PageRankParams(certify=cuts)
+    assert PageRankParams().certify == ()
+    assert PageRankParams(certify=[10, np.int64(50)]).certify == (10, 50)

@@ -422,6 +422,20 @@ def test_recommend_rejects_id_that_breaks_a_csv_row(tmp_path, capsys):
     assert not (tmp_path / "rec.csv").exists()
 
 
+def test_recommend_simwgd_names_seed_the_graph_lacks(tmp_path, capsys):
+    # the model holds a..e; the graph only a, b and c
+    model = tmp_path / "m.txt"
+    model.write_text("5 2\na 1 0\nb 0 1\nc 1 1\nd 1 2\ne 2 1\n")
+    ingest_edges(tmp_path, [("a", "b"), ("b", "c")])
+    capsys.readouterr()
+    assert main(["recommend", "--method", "simwgd", "--seeds", "d,a",
+                 "--model", str(model), "--graph", str(tmp_path / "g.npz"),
+                 "--output", str(tmp_path / "rec.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: paper id 'd' is in the model but not in the graph\n")
+    assert not (tmp_path / "rec.csv").exists()
+
+
 def test_evaluate_and_plotdata(dataset):
     g, edges, nodes, d = dataset
     main(["ingest", "--edges", str(edges), "--nodes", str(nodes),

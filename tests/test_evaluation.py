@@ -14,8 +14,8 @@ from citerec.graph import YEAR_UNKNOWN, CitationGraph, GraphError
 from citerec.embedding import EmbeddingModel, TrainParams, init_model
 from citerec.evaluation import (ExperimentConfig, Query, build_queries,
                                 check_no_time_leakage, hidden_count,
-                                read_queries, recall_at_k, run_experiment,
-                                write_queries, write_report)
+                                read_queries, recall_at_k, recalls_at_k,
+                                run_experiment, write_queries, write_report)
 from citerec.ranking import recommend
 from .conftest import make_synthetic_citation_corpus_graph
 
@@ -347,6 +347,38 @@ def test_run_experiment_pool_matches_serial_reference(tmp_path, monkeypatch,
     assert all(t.startswith("paperrank") for t in threads)
 
 
+def test_run_experiment_ranks_inline_after_the_years_solves(monkeypatch):
+    # the pool has one worker per CPU; no other method ranks while a
+    # serving year still has a solve running or queued
+    g, cfg, graphs, models, queries_by_ratio = pool_inputs()
+    year_of = {id(sl): y for y, sl in graphs.items()}
+    events = []     # (event, serving year), in the order they happened
+    paperrank = ranking.paperrank
+    cf = ranking.METHODS["cf"]
+
+    def solved(sl, *args):
+        scores = paperrank(sl, *args)
+        events.append(("solved", year_of[id(sl)]))
+        return scores
+
+    def inline(m, sl, rows, pr, rng):
+        events.append(("inline", year_of[id(sl)]))
+        return cf.score(m, sl, rows, pr, rng)
+
+    monkeypatch.setattr(ranking, "paperrank", solved)
+    monkeypatch.setitem(ranking.METHODS, "cf", ranking.Method(cf.needs, inline))
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    run_experiment(g, cfg, graphs, models, queries_by_ratio=queries_by_ratio)
+    years = {y for _, y in events}
+    assert len(years) > 1
+    assert [e for e, _ in events].count("solved") == 20
+    for y in years:
+        at = [i for i, (e, ey) in enumerate(events) if ey == y]
+        kinds = [events[i][0] for i in at]
+        assert kinds == sorted(kinds, key=lambda e: e == "inline")
+        assert kinds[0] == "solved" and kinds[-1] == "inline"
+
+
 @pytest.mark.parametrize("method", ["paperrank", "cf"])
 def test_run_experiment_pool_propagates_ranker_error(monkeypatch, method):
     g, cfg, graphs, models, queries_by_ratio = pool_inputs()
@@ -391,6 +423,47 @@ def test_run_experiment_logs_summary(caplog, monkeypatch, methods, workers):
         rf"run_experiment: 20 queries ranked, 2 skipped, methods "
         rf"{','.join(methods)}, {workers} PaperRank workers, \d+\.\d{{3}} s",
         caplog.records[1].message)
+
+
+def test_certified_paperrank_keeps_criterion_6_records(caplog):
+    # criterion 6's graph, configuration and queries, PaperRank alone:
+    # records from proven cuts equal those of the full solve
+    g = make_synthetic_citation_corpus_graph(
+        n_papers=5000, n_communities=8, year_lo=1995, year_hi=2010,
+        refs_lo=5, refs_hi=25, mix=0.15, seed=61)
+    cfg = ExperimentConfig(
+        hidden_ratios=(0.1, 0.9), n_queries=100, ref_range=(5, 25),
+        year_range=(2005, 2010), k_values=(50,), methods=("paperrank",),
+        seed=6)
+    queries_by_ratio = {r: build_queries(g, cfg, r) for r in cfg.hidden_ratios}
+    years = {q.year - 1 for qs in queries_by_ratio.values() for q in qs}
+    graphs = {y: g.time_slice(y) for y in years}
+    want, _ = reference_run_experiment(cfg, graphs, {}, queries_by_ratio)
+    with caplog.at_level("DEBUG", logger="citerec.baselines"):
+        got, _ = run_experiment(g, cfg, graphs, {},
+                                queries_by_ratio=queries_by_ratio)
+    assert got == want
+    proofs = [r for r in caplog.records
+              if r.getMessage().startswith("paperrank: cuts 50 proven at")]
+    assert len(proofs) == len(got) == 200
+
+
+def test_recalls_at_k_is_recall_at_k_for_each_k():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        ranked = [(f"p{int(i)}", 0.0) for i in rng.permutation(40)]
+        ranked = ranked[:int(rng.integers(0, 41))]
+        hidden = [f"p{int(i)}" for i in rng.choice(45, size=5, replace=False)]
+        ks = [int(k) for k in rng.integers(1, 50, size=4)]
+        assert recalls_at_k(ranked, hidden, ks) == [
+            recall_at_k(ranked, hidden, k) for k in ks]
+        assert recalls_at_k(ranked, hidden, ks) == [
+            len({t for t, _ in ranked[:k]} & set(hidden)) / len(hidden)
+            for k in ks]
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        recalls_at_k([("a", 1.0)], ["a"], (5, 0))
+    with pytest.raises(ValueError, match="hidden set must be non-empty"):
+        recalls_at_k([("a", 1.0)], [], (5,))
 
 
 def test_no_time_leakage_check():

@@ -12,7 +12,7 @@ from citerec.embedding import (EmbeddingModel, PaperVectors, TrainParams,
 from citerec.sampling import cocitation_corpus
 from citerec.ranking import (ALL_METHODS, EMBEDDING_METHODS, METHODS,
                              rank_scores, recommend, sim_avg, sim_ref, sim_wgd,
-                             write_ranked_csv)
+                             unit_rows, write_ranked_csv)
 
 
 def model_from(vectors, w_out=None):
@@ -239,14 +239,69 @@ def _scorer_pairs(m, seeds, g):
              ref_rows)]
 
 
+# One-product references: the unit rows built row by row, each reference
+# vector summed seed by seed in ascending row order, then one einsum, as
+# the cosine core computes them.
+
+def _reference_unit_rows(m):
+    w = _w64(m)
+    u = np.zeros_like(w)
+    for i, row in enumerate(w):
+        norm = np.sqrt(row @ row)
+        if norm > 0:
+            u[i] = row / norm
+    return u
+
+
+def _product(u, ref):
+    return np.einsum("ij,j->i", u, ref)
+
+
+def product_sim_avg(m, seeds):
+    u, rows = _reference_unit_rows(m), _reference_rows(m, seeds)
+    acc = u[rows[0]]
+    for r in rows[1:]:
+        acc = acc + u[r]
+    return _product(u, acc / rows.size)
+
+
+def product_sim_wgd(m, g, seeds):
+    u, rows = _reference_unit_rows(m), _reference_rows(m, seeds)
+    acc = np.zeros(m.dim)
+    for r in rows:
+        delta = g.degree(g.index_of(m.ids[r]))
+        if delta:
+            acc = acc + u[r] / delta
+    return _product(u, acc / rows.size)
+
+
+def product_sim_ref(m, seeds):
+    u, rows = _reference_unit_rows(m), _reference_rows(m, seeds)
+    acc = _w64(m)[rows[0]]
+    for r in rows[1:]:
+        acc = acc + _w64(m)[r]
+    mean = acc / rows.size
+    norm = np.sqrt(mean @ mean)
+    return _product(u, mean / norm) if norm > 0 else np.zeros(m.n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(models_seeds_graphs(integral=True))
 def test_cosine_core_matches_per_seed_reference(case):
+    # Each scorer is one product over unit rows, so its bits are those of a
+    # reference that computes the same products in the same order; the
+    # per-seed cosines agree to rounding, and on integer vectors an
+    # orthogonal pair's cosine may read 2.2e-17, not 0, which reorders ties.
     m, seeds, g = case
     for new, ref, used in _scorer_pairs(m, seeds, g):
         np.testing.assert_allclose(new, ref, rtol=0, atol=1e-12)
-        assert (rank_scores(m.ids, new, used, m.n)
-                == rank_scores(m.ids, ref, used, m.n))
+    rows = m.seed_rows(seeds)
+    for new, ref in [(sim_avg(m, rows), product_sim_avg(m, seeds)),
+                     (sim_wgd(m, g, rows), product_sim_wgd(m, g, seeds)),
+                     (sim_ref(m, rows), product_sim_ref(m, seeds))]:
+        assert np.array_equal(new, ref)
+        assert (rank_scores(m.ids, new, rows, m.n)
+                == rank_scores(m.ids, ref, rows, m.n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -372,6 +427,31 @@ def test_rank_scores_matches_full_sort_reference(case):
     for k in ks:
         assert _bits(rank_scores(ids, scores, exclude, k)) == _bits(
             reference_rank_scores(ids, scores, exclude, k)), k
+
+
+def test_unit_rows_are_unit_keep_zero_rows_and_copy():
+    m = model_from([[3, 4], [0, 0], [-1, 0], [1e-20, 0]])
+    u = unit_rows(m)
+    assert u.dtype == np.float64
+    assert u.tolist() == [[0.6, 0.8], [0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]
+    assert not np.shares_memory(u, m.w_in)
+
+
+@pytest.mark.parametrize("method", ["simavg", "simwgd", "simref"])
+def test_prepared_unit_rows_rank_with_the_bits_of_a_bare_model(method):
+    # run_experiment passes unit rows prepared once per model; recommend
+    # computes them per call, so an in-place edit of w_in is never stale
+    g = CitationGraph.from_edges([(f"n{i}", f"n{(3 * i) % 11}")
+                                  for i in range(11) if i != (3 * i) % 11])
+    rng = np.random.default_rng(12)
+    m = EmbeddingModel(g.ids, rng.normal(size=(g.n, 5)),
+                       rng.normal(size=(g.n, 5)))
+    seeds = ["n1", "n4", "n9", "n4"]
+    bare = _bits(recommend(method, seeds, g.n, model=m, graph=g))
+    assert _bits(recommend(method, seeds, g.n, model=m, graph=g,
+                           unit=unit_rows(m))) == bare
+    m.w_in[2] = -m.w_in[2]
+    assert _bits(recommend(method, seeds, g.n, model=m, graph=g)) != bare
 
 
 @pytest.mark.parametrize("method", EMBEDDING_METHODS)
