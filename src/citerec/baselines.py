@@ -15,7 +15,7 @@ bounds the same way).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -33,7 +33,10 @@ CERTIFY_MARGIN = 1e-13
 
 @dataclass(frozen=True)
 class PageRankParams:
-    damping: float = 0.85
+    """PageRank parameters; a field with ``help`` metadata is also a flag of
+    ``citerec recommend``."""
+    damping: float = field(default=0.85, metadata={
+        "help": "probability of following a link rather than restarting"})
     tol: float = 1e-10        # L1 convergence threshold
     max_iter: int = 200
     # top-k cuts to prove; the solve may stop once every one is proven
@@ -124,7 +127,7 @@ def paperrank(g: CitationGraph, rows, params: PageRankParams = None):
     b = c * restart * inv_sqrt
     r = b.copy()
     p = r.copy()
-    rr = r @ r
+    rr = _dot(r, r)
     if params.certify:
         cand = np.delete(np.arange(g.n), rows)
         # a cut past the last candidate holds whatever the scores
@@ -132,14 +135,14 @@ def paperrank(g: CitationGraph, rows, params: PageRankParams = None):
                                if k < cand.size}), np.int64)
         # the error bound per unit of residual, on each candidate
         per_r = sqrt_deg[cand] / (1 - lam)
-        margin = CERTIFY_MARGIN * np.sqrt(b @ b)
+        margin = CERTIFY_MARGIN * np.sqrt(_dot(b, b))
     proven = False
     for iters in range(1, params.max_iter + 1):
         if rr == 0.0:              # solved exactly: this step moves nothing
             residual = 0.0
             break
         q = system(p)
-        alpha = rr / (p @ q)
+        alpha = rr / _dot(p, q)
         y += alpha * p
         x_new = sqrt_deg * y
         residual = np.abs(x_new - x).sum()
@@ -147,7 +150,7 @@ def paperrank(g: CitationGraph, rows, params: PageRankParams = None):
         if residual < params.tol:
             break
         r -= alpha * q
-        rr_new = r @ r
+        rr_new = _dot(r, r)
         if (params.certify and iters >= CERTIFY_FROM and iters % 2 == 0
                 and _proves(x[cand], per_r * (np.sqrt(rr_new) + margin),
                             kth)):
@@ -171,6 +174,12 @@ def paperrank(g: CitationGraph, rows, params: PageRankParams = None):
             log.debug("paperrank: cuts %s not proven", cuts)
     x[~linked] = c * restart[~linked]
     return x
+
+
+def _dot(a, b):
+    """``a · b``.  einsum's sum does not depend on the BLAS thread count, as
+    ``ddot`` (``a @ b``) does from about 18,714 elements on."""
+    return np.einsum("i,i->", a, b)
 
 
 def _proves(x, err, kth):

@@ -2,19 +2,23 @@
 recommend -> evaluate, plus plot-data emission.
 
 All randomness flows from a single --seed flag; every subcommand is
-deterministic given identical inputs and seed.  A config file in
-``key = value`` format supplies defaults that flags override.
+deterministic given identical inputs and seed.  The training, walk and
+PageRank flags are the fields of ``TrainParams``, ``SamplingParams`` and
+``PageRankParams`` that carry help metadata, with those fields' defaults.
+A config file in ``key = value`` format supplies defaults that flags
+override.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 
 from . import __version__
 from .graph import CitationGraph, load_graph, text_lines
-from .sampling import STRATEGIES, WalkCorpus, sample_corpus
+from .sampling import STRATEGIES, SamplingParams, WalkCorpus, sample_corpus
 from .embedding import (TrainParams, TrainingError, init_model, train,
                         save_model, load_model, load_vectors)
 from .ranking import ALL_METHODS, METHODS, recommend, write_ranked_csv
@@ -70,8 +74,8 @@ def cmd_slice(args):
 
 def cmd_sample(args):
     g = _load_any_graph(args.graph, args.nodes)
-    corpus = sample_corpus(g, args.strategy, args.n, args.seed,
-                           t=args.t, p=args.p, q=args.q)
+    corpus = sample_corpus(g, args.strategy,
+                           **params_args(SamplingParams, args))
     corpus.params["params_hash"] = params_hash(corpus.params)
     corpus.save(args.output, g)
     print(f"sample: strategy={args.strategy} {len(corpus)} sequences -> {args.output}")
@@ -81,9 +85,7 @@ def cmd_sample(args):
 def cmd_train(args):
     g = _load_any_graph(args.graph, args.nodes)
     corpus = WalkCorpus.load(args.corpus, g)
-    params = TrainParams(dim=args.dim, window=args.window, epochs=args.epochs,
-                         lr=args.lr, lr_min=args.lr_min, mode=args.mode,
-                         negatives=args.negatives, seed=args.seed)
+    params = TrainParams(**params_args(TrainParams, args))
     model = train(init_model(g, params), corpus, params)
     save_model(model, args.output)
     print(f"train: mode={params.mode} d={params.dim} epochs={params.epochs} "
@@ -114,7 +116,8 @@ def cmd_recommend(args):
     seeds = [s for s in args.seeds.split(",") if s]
     inputs = recommend_inputs(args.method, args.model, args.graph, args.nodes)
     ranked = recommend(args.method, seeds, args.k, **inputs,
-                       pr_params=PageRankParams(damping=args.damping))
+                       pr_params=PageRankParams(
+                           **params_args(PageRankParams, args)))
     write_ranked_csv(args.output, ranked)
     print(f"recommend: method={args.method} |S|={len(set(seeds))} "
           f"top-{len(ranked)} -> {args.output}")
@@ -130,10 +133,11 @@ def cmd_evaluate(args):
         year_range=(args.min_year, args.max_year),
         k_values=tuple(int(k) for k in args.k_values.split(",")),
         methods=tuple(args.methods.split(",")), seed=args.seed)
-    tparams = TrainParams(dim=args.dim, window=args.window, epochs=args.epochs,
-                          mode=args.mode, seed=args.seed)
-    queries_by_ratio, _, aggregates = evaluate(
-        g, cfg, tparams, args.strategy, args.n, t=args.t, p=args.p, q=args.q)
+    tparams = TrainParams(**params_args(TrainParams, args))
+    walk = params_args(SamplingParams, args)
+    del walk["seed"]    # evaluate seeds each corpus with the training seed
+    queries_by_ratio, _, aggregates = evaluate(g, cfg, tparams, args.strategy,
+                                               **walk)
     write_report(args.output, aggregates)
     if args.queries_out:
         write_queries(args.queries_out, [q for r in sorted(queries_by_ratio)
@@ -199,18 +203,37 @@ def _add_graph_args(p):
     p.add_argument("--nodes", default=None, help="node-year file")
 
 
-def _add_walk_args(p):
-    p.add_argument("--n", type=int, default=10, help="passes over the graph")
-    p.add_argument("--t", type=int, default=80, help="walk length")
-    p.add_argument("--p", type=float, default=1.0, help="return parameter")
-    p.add_argument("--q", type=float, default=1.0, help="in-out parameter")
+def _flag_fields(cls):
+    """The fields of the params dataclass ``cls`` that are flags: those with
+    a ``help`` in their metadata."""
+    return [f for f in dataclasses.fields(cls) if "help" in f.metadata]
 
 
-def _add_train_args(p):
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--mode", choices=["exact", "neg"], default="neg")
+def _add_params_args(p, *classes):
+    """One flag per flag field of the params dataclasses ``classes``, in a
+    help group named after its class: the field name with ``_`` read as
+    ``-``, the field's default, the type of that default (under ``from
+    __future__ import annotations`` a field's ``type`` is a string), and the
+    ``help`` and ``choices`` of its metadata.  A field that two classes
+    share, ``seed``, is one flag, in the first class's group."""
+    added = set()
+    for cls in classes:
+        # a group's add_argument also skips the help formatter that argparse
+        # builds per flag on a parser, which reads the terminal size
+        group = p.add_argument_group(cls.__name__)
+        for f in _flag_fields(cls):
+            if f.name not in added:
+                added.add(f.name)
+                group.add_argument("--" + f.name.replace("_", "-"),
+                                   type=type(f.default), default=f.default,
+                                   choices=f.metadata.get("choices"),
+                                   help=f.metadata["help"])
+
+
+def params_args(cls, args):
+    """The keyword arguments of ``cls`` that the parsed flags ``args``
+    give: one per flag field."""
+    return {f.name: getattr(args, f.name) for f in _flag_fields(cls)}
 
 
 def build_parser():
@@ -235,19 +258,14 @@ def build_parser():
     p = sub.add_parser("sample", help="generate a walk / co-citation corpus")
     _add_graph_args(p)
     p.add_argument("--strategy", choices=STRATEGIES, default="uniform")
-    _add_walk_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_params_args(p, SamplingParams)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("train", help="train an embedding model on a corpus")
     _add_graph_args(p)
     p.add_argument("--corpus", required=True)
-    _add_train_args(p)
-    p.add_argument("--lr", type=float, default=0.025)
-    p.add_argument("--lr-min", type=float, default=0.0001)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    _add_params_args(p, TrainParams)
     p.add_argument("--output", required=True,
                    help="model file (companion .out written alongside)")
     p.set_defaults(func=cmd_train)
@@ -259,7 +277,7 @@ def build_parser():
     p.add_argument("--model", default=None, help="embedding model file")
     p.add_argument("--graph", default=None, help="edge file or .npz cache")
     p.add_argument("--nodes", default=None)
-    p.add_argument("--damping", type=float, default=0.85)
+    _add_params_args(p, PageRankParams)
     p.add_argument("--output", required=True, help="ranked CSV")
     p.set_defaults(func=cmd_recommend)
 
@@ -274,9 +292,7 @@ def build_parser():
     p.add_argument("--k-values", default="10,25,50,100")
     p.add_argument("--methods", default=",".join(ALL_METHODS))
     p.add_argument("--strategy", choices=STRATEGIES, default="cocit")
-    _add_walk_args(p)
-    _add_train_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_params_args(p, SamplingParams, TrainParams)
     p.add_argument("--output", required=True, help="aggregate report CSV")
     p.add_argument("--queries-out", default=None,
                    help="also write the sampled queries")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -48,27 +48,39 @@ NOISE_BUCKETS = 1 << 16
 EXACT_BLOCK_FLOATS = 1 << 20
 
 
+# The training objectives: exact softmax and negative sampling.
+MODES = ("exact", "neg")
+
+
 class TrainingError(RuntimeError):
     pass
 
 
 @dataclass(frozen=True)
 class TrainParams:
-    dim: int = 128
-    window: int = 10
-    epochs: int = 5
-    lr: float = 0.025
-    lr_min: float = 0.0001
-    mode: str = "exact"      # "exact" | "neg"
-    negatives: int = 5
-    seed: int = 0
+    """Training parameters; a field with ``help`` metadata is also a flag of
+    ``citerec train`` and ``citerec evaluate``."""
+    dim: int = field(default=128, metadata={"help": "embedding dimension"})
+    window: int = field(default=10, metadata={
+        "help": "context papers on each side of the target"})
+    epochs: int = field(default=5, metadata={"help": "passes over the corpus"})
+    lr: float = field(default=0.025, metadata={
+        "help": "learning rate at the first window"})
+    lr_min: float = field(default=0.0001, metadata={
+        "help": "learning rate at the last window"})
+    mode: str = field(default="neg", metadata={
+        "help": "objective: exact softmax or negative sampling",
+        "choices": MODES})
+    negatives: int = field(default=5, metadata={
+        "help": "negatives per window in neg mode"})
+    seed: int = field(default=0, metadata={"help": "random seed"})
 
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.epochs < 0:
             raise ValueError("dim, window must be >= 1 and epochs >= 0")
         if not self.lr > self.lr_min >= 0:
             raise ValueError("need lr > lr_min >= 0")
-        if self.mode not in ("exact", "neg"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown objective mode: {self.mode!r}")
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")

@@ -32,11 +32,14 @@ STRATEGIES = ("uniform", "biased", "cocit")
 
 @dataclass(frozen=True)
 class SamplingParams:
-    n: int = 10        # walks per node
-    t: int = 80        # walk length (steps after the root)
-    p: float = 1.0     # return parameter
-    q: float = 1.0     # in-out parameter
-    seed: int = 0
+    """Corpus parameters; a field with ``help`` metadata is also a flag of
+    ``citerec sample`` and ``citerec evaluate``."""
+    n: int = field(default=10, metadata={"help": "passes over the graph"})
+    t: int = field(default=80, metadata={
+        "help": "walk length in steps after the root"})
+    p: float = field(default=1.0, metadata={"help": "return parameter"})
+    q: float = field(default=1.0, metadata={"help": "in-out parameter"})
+    seed: int = field(default=0, metadata={"help": "random seed"})
 
     def __post_init__(self):
         if self.n < 1 or self.t < 1:

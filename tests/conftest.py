@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from citerec.graph import CitationGraph
 from citerec.sampling import WalkCorpus
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def corpus_of(lines, strategy="", params=None):
@@ -89,3 +96,17 @@ def make_synthetic_citation_corpus_graph(n_papers=2000, n_communities=4,
                 edges.append((tok, f"p{j}"))
         by_comm[comm[i]].append(i)
     return CitationGraph.from_edges(edges, years)
+
+
+def run_under_blas_threads(script, tmp_path):
+    """Run ``script`` under 1 and 2 OpenBLAS threads; returns the two
+    output directories it was given."""
+    dirs = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)],
+                       cwd=ROOT, env=env, check=True, timeout=600)
+        dirs.append(tmp_path / threads)
+    return dirs

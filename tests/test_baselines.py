@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from citerec.graph import CitationGraph
 from citerec.baselines import PageRankParams, cf_scores, paperrank
 from citerec.ranking import rank_scores
+from .conftest import run_under_blas_threads
 
 
 def dense_transition(g, seeds):
@@ -480,3 +481,36 @@ def test_pagerank_params_validation():
             PageRankParams(certify=cuts)
     assert PageRankParams().certify == ()
     assert PageRankParams(certify=[10, np.int64(50)]).certify == (10, 50)
+
+
+# Twelve PageRank solves, full and certified, on a 30,000-paper graph in
+# which every paper is linked, so each of the solver's dot products runs
+# over 30,000 elements: past the 18,714 from which OpenBLAS's ddot gives
+# different bits under 1 and 2 threads.
+PAPERRANK_30K = """
+import sys
+import numpy as np
+from citerec.baselines import PageRankParams, paperrank
+from citerec.graph import CitationGraph
+
+n = 30_000
+rng = np.random.default_rng(5)
+# paper i cites five papers drawn from 0..i-1; repeats collapse
+citing = np.repeat(np.arange(1, n), 5)
+cited = (rng.random(citing.size) * citing).astype(np.int64)
+g = CitationGraph([f"p{i}" for i in range(n)], np.full(n, 2000), citing,
+                  cited)
+scores = []
+for params in (PageRankParams(), PageRankParams(certify=(10, 50))):
+    for _ in range(6):
+        rows = np.unique(rng.choice(n, size=20, replace=False))
+        scores.append(paperrank(g, rows, params))
+np.save(sys.argv[1] + "/scores.npy", np.stack(scores))
+"""
+
+
+def test_paperrank_bits_do_not_depend_on_blas_threads(tmp_path):
+    one, two = (np.load(d / "scores.npy")
+                for d in run_under_blas_threads(PAPERRANK_30K, tmp_path))
+    assert one.shape == (12, 30_000) and (one > 0).all()
+    assert np.array_equal(one.view(np.uint64), two.view(np.uint64))

@@ -1,12 +1,16 @@
 import io
 import re
 import zipfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from citerec import evaluation, sampling
-from citerec.cli import main, params_hash, read_config
+from citerec.baselines import PageRankParams
+from citerec.cli import (build_parser, main, params_args, params_hash,
+                         read_config)
+from citerec.embedding import TrainParams
 from citerec.graph import CitationGraph
 from citerec.sampling import SamplingParams, generate_walk_corpus
 from .conftest import make_synthetic_citation_corpus_graph
@@ -556,6 +560,106 @@ def test_evaluate_rejects_bad_config_before_training(dataset, capsys,
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (d / "report.csv").exists()
+
+
+# the params dataclasses each subcommand builds from its flags
+PARAMS_OF = {"sample": (SamplingParams,), "train": (TrainParams,),
+             "recommend": (PageRankParams,),
+             "evaluate": (SamplingParams, TrainParams)}
+# the fields that are flags; the others are library-only
+FLAG_FIELDS = {
+    SamplingParams: ["n", "t", "p", "q", "seed"],
+    TrainParams: ["dim", "window", "epochs", "lr", "lr_min", "mode",
+                  "negatives", "seed"],
+    PageRankParams: ["damping"],
+}
+# the least each subcommand needs besides its params flags
+REQUIRED = {"sample": ["--graph", "g"],
+            "train": ["--graph", "g", "--corpus", "c"],
+            "recommend": ["--method", "paperrank", "--seeds", "a"],
+            "evaluate": ["--graph", "g"]}
+
+
+def subcommand_flags(command):
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    return {flag: a for a in sub._actions for flag in a.option_strings}
+
+
+@pytest.mark.parametrize("command", sorted(PARAMS_OF))
+def test_params_flags_are_their_dataclass_fields(command):
+    flags = subcommand_flags(command)
+    args = build_parser().parse_args([command, *REQUIRED[command],
+                                      "--output", "o"])
+    for cls in PARAMS_OF[command]:
+        assert [f.name for f in fields(cls) if "help" in f.metadata] == \
+            FLAG_FIELDS[cls]
+        for f in fields(cls):
+            flag = "--" + f.name.replace("_", "-")
+            if f.name not in FLAG_FIELDS[cls]:
+                assert flag not in flags
+                continue
+            action = flags[flag]
+            assert action.dest == f.name
+            assert type(action.default) is type(f.default)
+            assert action.default == f.default
+            assert action.type is type(f.default)
+            assert action.choices == f.metadata.get("choices")
+        # no flag given: the dataclass's own defaults
+        assert cls(**params_args(cls, args)) == cls()
+
+
+def test_evaluate_trains_with_the_train_flags(dataset, monkeypatch):
+    g, edges, nodes, d = dataset
+    main(["ingest", "--edges", str(edges), "--nodes", str(nodes),
+          "--output", str(d / "g.npz")])
+    trained = []
+    train = evaluation.train
+
+    def spy(model, corpus, params):
+        trained.append(params)
+        return train(model, corpus, params)
+    monkeypatch.setattr(evaluation, "train", spy)
+    assert main(["evaluate", "--graph", str(d / "g.npz"), "--ratios", "0.5",
+                 "--queries", "4", "--min-refs", "3", "--max-refs", "12",
+                 "--min-year", "2008", "--max-year", "2009",
+                 "--k-values", "5,10", "--methods", "citmod",
+                 "--strategy", "cocit", "--n", "1", "--dim", "4",
+                 "--epochs", "1", "--seed", "3", "--lr", "0.1",
+                 "--lr-min", "0.001", "--negatives", "3",
+                 "--output", str(d / "cli.csv")]) == 0
+    from_cli = list(trained)
+    trained.clear()
+    cfg = evaluation.ExperimentConfig(
+        hidden_ratios=(0.5,), n_queries=4, ref_range=(3, 12),
+        year_range=(2008, 2009), k_values=(5, 10), methods=("citmod",),
+        seed=3)
+    tparams = TrainParams(dim=4, epochs=1, lr=0.1, lr_min=0.001,
+                          negatives=3, seed=3)
+    _, _, aggregates = evaluation.evaluate(CitationGraph.load_cache(
+        d / "g.npz"), cfg, tparams, "cocit", 1)
+    evaluation.write_report(d / "library.csv", aggregates)
+    assert from_cli == trained == [tparams] * 2
+    assert (d / "cli.csv").read_bytes() == (d / "library.csv").read_bytes()
+
+
+def test_evaluate_config_sets_a_train_flag(dataset, monkeypatch, tmp_path):
+    g, edges, nodes, d = dataset
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lr_min = 0.001\n")
+    main(["ingest", "--edges", str(edges), "--nodes", str(nodes),
+          "--output", str(d / "g.npz")])
+    trained = []
+
+    def spy(model, corpus, params):
+        trained.append(params)
+        return model
+    monkeypatch.setattr(evaluation, "train", spy)
+    assert main(["evaluate", "--config", str(cfg), "--graph", str(d / "g.npz"),
+                 "--queries", "4", "--min-refs", "3", "--max-refs", "12",
+                 "--min-year", "2008", "--max-year", "2008",
+                 "--methods", "simavg", "--dim", "4", "--epochs", "1",
+                 "--output", str(d / "report.csv")]) == 0
+    assert [p.lr_min for p in trained] == [0.001]
 
 
 def test_config_file_defaults(dataset, tmp_path):

@@ -1,10 +1,7 @@
 import logging
 import math
-import os
 import pickle
 import re
-import subprocess
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -25,7 +22,7 @@ from citerec.embedding import (EmbeddingModel, TrainParams, TrainingError,
                                _sigmoid, context_windows, forward, init_model,
                                load_model, save_model, softmax, train,
                                window_context)
-from .conftest import corpus_of, make_planted_graph
+from .conftest import corpus_of, make_planted_graph, run_under_blas_threads
 
 
 def chain_graph(n):
@@ -329,7 +326,7 @@ def test_neg_step_matches_finite_differences():
 
 def test_zero_epochs_is_identity():
     g = chain_graph(6)
-    params = TrainParams(dim=4, window=2, epochs=0, seed=3)
+    params = TrainParams(dim=4, window=2, epochs=0, mode="exact", seed=3)
     m = init_model(g, params)
     w_in0, w_out0 = m.w_in.copy(), m.w_out.copy()
     train(m, corpus_of([[0, 1, 2, 3]]), params)
@@ -533,8 +530,6 @@ def test_exact_block_cap(monkeypatch):
     assert np.array_equal(m.w_out.view(np.uint32), ref.w_out.view(np.uint32))
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
 # one epoch of each objective on criterion 5's graph, whose exact blocks
 # are 204 x 1000 products, well past the size where OpenBLAS starts threads
 TRAIN_BOTH_MODES = """
@@ -595,20 +590,6 @@ with open(sys.argv[1] + "/evaluate.pkl", "wb") as f:
     # PaperRank ranks in a thread pool, so its calls come in any order
     pickle.dump((records, sorted(ranked)), f)
 """
-
-
-def run_under_blas_threads(script, tmp_path):
-    """Run ``script`` under 1 and 2 OpenBLAS threads; returns the two
-    output directories it was given."""
-    dirs = []
-    for threads in ("1", "2"):
-        (tmp_path / threads).mkdir()
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
-        subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)],
-                       cwd=ROOT, env=env, check=True, timeout=600)
-        dirs.append(tmp_path / threads)
-    return dirs
 
 
 def test_evaluate_bits_do_not_depend_on_blas_threads(tmp_path):
@@ -776,7 +757,7 @@ def test_loss_decreases_on_toy_corpus():
         return float(np.mean([exact_window_loss(m.w_in, m.w_out, t, c)
                               for t, c in windows]))
 
-    params = TrainParams(dim=8, window=2, epochs=1, seed=1)
+    params = TrainParams(dim=8, window=2, epochs=1, mode="exact", seed=1)
     m = init_model(g, params)
     losses = [mean_loss(m)]
     for _ in range(5):

@@ -650,7 +650,7 @@ def test_evaluate_without_embedding_methods_samples_and_trains_nothing(
 def test_evaluate_holds_one_slice_and_one_model_at_a_time(monkeypatch):
     g = eval_graph()
     cfg = eval_config(year_range=(2006, 2010), methods=("simavg", "citmod"))
-    tparams = TrainParams(dim=8, epochs=1, seed=1)
+    tparams = TrainParams(dim=8, epochs=1, mode="exact", seed=1)
     expected = evaluation.evaluate(g, cfg, tparams, "cocit", 1)
     slices, models = [], []     # weak references to what evaluate made
     alive = []  # (slices, models) alive when each slice or training starts
